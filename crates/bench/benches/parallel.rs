@@ -14,8 +14,7 @@ use bga_graph::suite::{benchmark_suite, SuiteScale};
 use bga_graph::{uniform_weights, CompressedCsrGraph, CompressedWeightedGraph};
 use bga_kernels::bfs::direction_optimizing::DirectionConfig;
 use bga_parallel::request::{
-    run_betweenness, run_bfs, run_bfs_on, run_components, run_kcore, run_sssp_unit,
-    run_sssp_weighted,
+    run_betweenness, run_bfs, run_components, run_kcore, run_sssp_unit, run_sssp_weighted,
 };
 use bga_parallel::{BfsStrategy, RunConfig, ScopedExecutor, Variant, WorkerPool};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -355,15 +354,8 @@ fn bench_small_frontier_pool_vs_scope(c: &mut Criterion) {
             BenchmarkId::new("pool", format!("mesh100x60x{threads}")),
             &graph,
             |b, g| {
-                b.iter(|| {
-                    run_bfs_on(
-                        g,
-                        0,
-                        BfsStrategy::Plain(Variant::BranchAvoiding),
-                        &pool,
-                        grain,
-                    )
-                })
+                let config = RunConfig::new().on(&pool).grain(grain);
+                b.iter(|| run_bfs(g, 0, BfsStrategy::Plain(Variant::BranchAvoiding), &config))
             },
         );
         let scoped = ScopedExecutor::new(threads);
@@ -371,15 +363,8 @@ fn bench_small_frontier_pool_vs_scope(c: &mut Criterion) {
             BenchmarkId::new("thread_scope", format!("mesh100x60x{threads}")),
             &graph,
             |b, g| {
-                b.iter(|| {
-                    run_bfs_on(
-                        g,
-                        0,
-                        BfsStrategy::Plain(Variant::BranchAvoiding),
-                        &scoped,
-                        grain,
-                    )
-                })
+                let config = RunConfig::new().on(&scoped).grain(grain);
+                b.iter(|| run_bfs(g, 0, BfsStrategy::Plain(Variant::BranchAvoiding), &config))
             },
         );
     }

@@ -312,18 +312,20 @@ mod tests {
                 "{variant} with an expired deadline did not time out"
             );
         }
-        // bottom-up has no parallel cancellable path; sequential runs and
-        // instrumented runs have no deadline seam at all.
+        // bottom-up has no parallel cancellable path and sequential runs
+        // have no deadline seam; instrumented runs are cancellable.
         assert!(super::run(&strings(&["cond-mat-2005", "--timeout-ms", "5"])).is_err());
-        assert!(super::run(&strings(&[
-            "cond-mat-2005",
-            "--threads",
-            "2",
-            "--instrumented",
-            "--timeout-ms",
-            "5"
-        ]))
-        .is_err());
+        assert_eq!(
+            super::run(&strings(&[
+                "cond-mat-2005",
+                "--threads",
+                "2",
+                "--instrumented",
+                "--timeout-ms",
+                "0"
+            ])),
+            Err(CliError::DeadlineExpired)
+        );
         // A timed-out traced run still writes an interrupted trace.
         let dir = std::env::temp_dir().join("bga_cli_bfs_timeout");
         std::fs::create_dir_all(&dir).unwrap();

@@ -177,20 +177,24 @@ mod tests {
             ])),
             Err(CliError::DeadlineExpired)
         );
-        // Usage guards: a deadline needs a parallel, uninstrumented run
-        // and a parseable value.
-        for bad in [
-            &["cond-mat-2005", "--timeout-ms", "5"][..],
-            &["cond-mat-2005", "--threads", "2", "--timeout-ms"][..],
-            &["cond-mat-2005", "--threads", "2", "--timeout-ms", "abc"][..],
-            &[
+        // An instrumented run is cancellable too.
+        assert_eq!(
+            run(&strings(&[
                 "cond-mat-2005",
                 "--threads",
                 "2",
                 "--instrumented",
                 "--timeout-ms",
-                "5",
-            ][..],
+                "0"
+            ])),
+            Err(CliError::DeadlineExpired)
+        );
+        // Usage guards: a deadline needs a parallel run and a parseable
+        // value.
+        for bad in [
+            &["cond-mat-2005", "--timeout-ms", "5"][..],
+            &["cond-mat-2005", "--threads", "2", "--timeout-ms"][..],
+            &["cond-mat-2005", "--threads", "2", "--timeout-ms", "abc"][..],
         ] {
             assert!(
                 matches!(run(&strings(bad)), Err(CliError::Message(_))),

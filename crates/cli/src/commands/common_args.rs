@@ -8,9 +8,7 @@
 //! * `--trace` and `--instrumented` are exclusive (the trace carries the
 //!   counters);
 //! * `--timeout-ms` requires `--threads` (only parallel runs are
-//!   cancellable);
-//! * `--timeout-ms` and `--instrumented` are exclusive (the instrumented
-//!   paths have no cancellation seam).
+//!   cancellable).
 //!
 //! [`CommonArgs::parse`] enforces the matrix once — the five commands
 //! used to carry their own copies — and [`CommonArgs::run_config`]
@@ -109,13 +107,6 @@ impl<'a> CommonArgs<'a> {
                             .to_string(),
                     );
                 }
-                if instrumented {
-                    return Err(
-                        "--timeout-ms and --instrumented are exclusive (the instrumented paths \
-                         have no cancellation seam)"
-                            .to_string(),
-                    );
-                }
                 Some(CancelToken::new().with_deadline_in(timeout))
             }
         };
@@ -196,6 +187,14 @@ mod tests {
                 "g",
                 "--threads",
                 "2",
+                "--instrumented",
+                "--timeout-ms",
+                "50",
+            ][..],
+            &[
+                "g",
+                "--threads",
+                "2",
                 "--trace",
                 "t.jsonl",
                 "--timeout-ms",
@@ -228,17 +227,6 @@ mod tests {
             (
                 &["g", "--timeout-ms", "50"][..],
                 "--timeout-ms requires --threads N",
-            ),
-            (
-                &[
-                    "g",
-                    "--threads",
-                    "2",
-                    "--instrumented",
-                    "--timeout-ms",
-                    "50",
-                ][..],
-                "--timeout-ms and --instrumented are exclusive",
             ),
         ];
         for (case, needle) in err {

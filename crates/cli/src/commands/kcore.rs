@@ -208,17 +208,20 @@ mod tests {
             ])),
             Err(CliError::DeadlineExpired)
         );
-        // A deadline needs the parallel peel and excludes --instrumented.
+        // A deadline needs the parallel peel; instrumented peels are
+        // cancellable.
         assert!(run(&strings(&["cond-mat-2005", "--timeout-ms", "5"])).is_err());
-        assert!(run(&strings(&[
-            "cond-mat-2005",
-            "--threads",
-            "2",
-            "--instrumented",
-            "--timeout-ms",
-            "5"
-        ]))
-        .is_err());
+        assert_eq!(
+            run(&strings(&[
+                "cond-mat-2005",
+                "--threads",
+                "2",
+                "--instrumented",
+                "--timeout-ms",
+                "0"
+            ])),
+            Err(CliError::DeadlineExpired)
+        );
         // A timed-out traced run still writes an interrupted trace.
         let dir = std::env::temp_dir().join("bga_cli_kcore_timeout");
         std::fs::create_dir_all(&dir).unwrap();

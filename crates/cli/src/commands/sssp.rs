@@ -405,17 +405,20 @@ mod tests {
                 "{extra:?} did not time out"
             );
         }
-        // A deadline needs the parallel path and excludes --instrumented.
+        // A deadline needs the parallel path; instrumented runs are
+        // cancellable.
         assert!(run(&strings(&["cond-mat-2005", "--timeout-ms", "5"])).is_err());
-        assert!(run(&strings(&[
-            "cond-mat-2005",
-            "--threads",
-            "2",
-            "--instrumented",
-            "--timeout-ms",
-            "5"
-        ]))
-        .is_err());
+        assert_eq!(
+            run(&strings(&[
+                "cond-mat-2005",
+                "--threads",
+                "2",
+                "--instrumented",
+                "--timeout-ms",
+                "0"
+            ])),
+            Err(CliError::DeadlineExpired)
+        );
         // A timed-out traced weighted run still writes an interrupted trace.
         let dir = std::env::temp_dir().join("bga_cli_sssp_timeout");
         std::fs::create_dir_all(&dir).unwrap();

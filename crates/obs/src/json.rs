@@ -1,9 +1,10 @@
 //! Dependency-free JSON value, parser and writer.
 //!
 //! The workspace builds offline, so there is no serde to lean on; this is
-//! the same recursive-descent reader idiom `bga bench compare` uses, plus a
-//! compact writer so [`crate::event::TraceEvent`] lines round-trip through
-//! plain strings. Objects keep insertion order in a flat pair list — trace
+//! the workspace's one JSON reader (trace lines, serve messages and the
+//! `bga bench compare` documents all parse through it), plus a compact
+//! writer so [`crate::event::TraceEvent`] lines round-trip through plain
+//! strings. Objects keep insertion order in a flat pair list — trace
 //! lines are tiny, so linear key lookup is fine.
 
 use std::fmt;

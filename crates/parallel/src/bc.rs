@@ -42,24 +42,20 @@
 //! [`bga_kernels::bc::betweenness_centrality_sources`].
 
 use crate::auto::AutoSwitch;
-use crate::cancel::{self, CancelToken, RunOutcome};
+use crate::cancel::{self, RunOutcome};
 use crate::engine::{
     frontier_degree_prefix, LevelCtx, LevelKernel, LevelLoop, LevelRun, TraversalState,
 };
-use crate::pool::{
-    balanced_prefix_ranges, effective_chunks_with_grain, Execute, PoolConfig, PoolMonitor,
-    WorkerPool,
-};
+use crate::pool::{balanced_prefix_ranges, effective_chunks_with_grain, Execute};
 use crate::request::{RunConfig, Variant};
-use crate::trace::{emit_degradation_warning, run_footprint, TraceRun};
+use crate::trace::RunLabel;
 use bga_graph::{AdjacencySource, VertexId};
 use bga_kernels::bfs::direction_optimizing::DirectionConfig;
 use bga_kernels::bfs::INFINITY;
-use bga_obs::{OffsetSink, TraceEvent, TraceSink};
+use bga_obs::{OffsetSink, TraceSink};
 use bga_perfmodel::advisor::AdvisorConfig;
 use std::ops::Range;
 use std::sync::atomic::Ordering::Relaxed;
-use std::sync::Arc;
 
 /// Which forward-phase hooking discipline a parallel betweenness run uses.
 /// Both produce identical σ counts and (bit-identical) scores; they differ
@@ -285,229 +281,112 @@ fn accumulate_dependencies<G: AdjacencySource, E: Execute>(
     }
 }
 
-/// The shared all/sampled-sources driver: un-halved accumulation.
-fn par_bc_accumulate_on<G: AdjacencySource, E: Execute>(
-    graph: &G,
-    sources: &[VertexId],
-    exec: &E,
-    grain: usize,
-    variant: BcVariant,
-) -> Vec<f64> {
-    let n = graph.num_vertices();
-    let mut centrality = vec![0.0f64; n];
-    let mut delta = vec![0.0f64; n];
-    let mut state = TraversalState::with_sigma(n);
-    let level_loop = LevelLoop::new(graph, exec, grain, DirectionConfig::always_top_down());
-    let auto = auto_forward(false);
-    for &source in sources {
-        if (source as usize) >= n {
-            continue;
-        }
-        state.reset();
-        let run = match variant {
-            BcVariant::BranchAvoiding => level_loop.run(&state, source, &BcForward::<true, false>),
-            BcVariant::BranchBased => level_loop.run(&state, source, &BcForward::<false, false>),
-            BcVariant::Auto => level_loop.run(&state, source, &auto),
-        };
-        accumulate_dependencies(
-            graph,
-            exec,
-            grain,
-            &run,
-            &state,
-            &mut delta,
-            &mut centrality,
-        );
-    }
-    centrality
-}
-
-/// The unified request driver behind [`crate::request::run_betweenness`]:
-/// observed runs (trace sink or cancel token) go through the monitored
-/// multi-source driver, everything else through the unmonitored fast
-/// path. `sources: None` means the full accumulation over every vertex
-/// with the standard halved undirected convention; `Some` returns the raw
-/// un-halved sums over the given set. BC kernels carry no tally, so
-/// `RunConfig::instrumented` has no effect here.
-pub(crate) fn run_request<G: AdjacencySource, S: TraceSink>(
-    graph: &G,
-    variant: Variant,
-    sources: Option<&[VertexId]>,
-    config: &RunConfig<'_, S>,
-) -> (ParBcRun, RunOutcome) {
-    let pool_config = config.pool_config();
-    let all: Vec<VertexId>;
-    let source_list: &[VertexId] = match sources {
-        Some(list) => list,
-        None => {
-            all = (0..graph.num_vertices() as VertexId).collect();
-            &all
-        }
-    };
-    let (mut scores, sources_done, outcome) = if config.observed() {
-        par_bc_accumulate_impl(
-            graph,
-            source_list,
-            &pool_config,
-            variant,
-            config.sink,
-            config.cancel,
-        )
-    } else {
-        let pool = WorkerPool::with_config(&pool_config);
-        let scores = par_bc_accumulate_on(graph, source_list, &pool, pool_config.grain, variant);
-        (scores, source_list.len(), RunOutcome::Completed)
-    };
-    if sources.is_none() {
-        // Each undirected pair was counted twice (once per endpoint).
-        for c in &mut scores {
-            *c /= 2.0;
-        }
-    }
-    (
-        ParBcRun {
-            scores,
-            sources_done,
-            threads: pool_config.threads,
-        },
-        outcome,
-    )
-}
-
-/// [`run_request`] on an explicit executor: plain kernels, the bench seam.
-pub(crate) fn run_request_on<G: AdjacencySource, E: Execute>(
-    graph: &G,
-    variant: Variant,
-    sources: Option<&[VertexId]>,
-    exec: &E,
-    grain: usize,
-) -> ParBcRun {
-    let all: Vec<VertexId>;
-    let source_list: &[VertexId] = match sources {
-        Some(list) => list,
-        None => {
-            all = (0..graph.num_vertices() as VertexId).collect();
-            &all
-        }
-    };
-    let mut scores = par_bc_accumulate_on(graph, source_list, exec, grain, variant);
-    if sources.is_none() {
-        for c in &mut scores {
-            *c /= 2.0;
-        }
-    }
-    ParBcRun {
-        scores,
-        sources_done: source_list.len(),
-        threads: exec.parallelism(),
-    }
-}
-
-/// The shared monitored driver behind the traced and cancellable
-/// multi-source entry points. The token is checked between sources
-/// (against the total forward phases emitted so far) and inside each
+/// The one driver behind [`crate::request::run_betweenness`].
+/// `sources: None` means the full accumulation over every vertex with the
+/// standard halved undirected convention; `Some` returns the raw
+/// un-halved sums over the given set. The token is checked between
+/// sources (against the total forward phases run so far) and inside each
 /// source's forward traversal at every level boundary; a source whose
 /// traversal is interrupted contributes nothing, so the returned scores
 /// are always the *exact* accumulation over the first `sources_done`
 /// sources.
-fn par_bc_accumulate_impl<G: AdjacencySource, S: TraceSink>(
+pub(crate) fn run_request<G: AdjacencySource, S: TraceSink, E: Execute>(
     graph: &G,
-    sources: &[VertexId],
-    config: &PoolConfig,
     variant: Variant,
-    sink: &S,
-    token: Option<&CancelToken>,
-) -> (Vec<f64>, usize, RunOutcome) {
-    let monitor = PoolMonitor::new();
-    let pool = WorkerPool::with_monitor(config.threads, Arc::clone(&monitor));
-    let scope = TraceRun::start(
-        sink,
-        TraceEvent::RunStart {
-            kernel: "bc".to_string(),
-            variant: variant.as_str().to_string(),
-            vertices: graph.num_vertices(),
-            edges: graph.num_edge_slots(),
-            threads: pool.threads(),
-            grain: config.grain,
-            delta: None,
-            root: if sources.len() == 1 {
-                sources.first().copied()
-            } else {
-                None
-            },
-            footprint: Some(run_footprint(graph.footprint())),
-        },
-    );
-    let n = graph.num_vertices();
-    let mut centrality = vec![0.0f64; n];
-    let mut delta = vec![0.0f64; n];
-    let mut state = TraversalState::with_sigma(n);
-    let level_loop = LevelLoop::new(
-        graph,
-        &pool,
-        config.grain,
-        DirectionConfig::always_top_down(),
-    );
-    let mut sources_done = 0usize;
-    // Counted here rather than through the scope so the budget works with
-    // a disabled sink too (a NoopSink never sees the phase events).
-    let mut total_phases = 0usize;
-    let mut outcome = RunOutcome::Completed;
-    // Shared across sources: the advisor samples the first source's
-    // levels, and every later source runs the chosen static discipline.
-    let auto = auto_forward(true);
-    for &source in sources {
-        if (source as usize) >= n {
-            sources_done += 1;
-            continue;
+    sources: Option<&[VertexId]>,
+    config: &RunConfig<'_, S, E>,
+) -> (ParBcRun, RunOutcome) {
+    let all: Vec<VertexId>;
+    let source_list: &[VertexId] = match sources {
+        Some(list) => list,
+        None => {
+            all = (0..graph.num_vertices() as VertexId).collect();
+            &all
         }
-        if let Some(stop) = cancel::check(token, total_phases) {
-            outcome = stop;
-            break;
-        }
-        state.reset();
-        let per_source = OffsetSink::new(&scope, scope.phases_so_far());
-        let (run, forward_outcome) = match variant {
-            BcVariant::BranchAvoiding => level_loop.run_loop(
-                &state,
-                source,
-                &BcForward::<true, false>,
-                &per_source,
-                token,
-            ),
-            BcVariant::BranchBased => level_loop.run_loop(
-                &state,
-                source,
-                &BcForward::<false, false>,
-                &per_source,
-                token,
-            ),
-            BcVariant::Auto => level_loop.run_loop(&state, source, &auto, &per_source, token),
-        };
-        if !forward_outcome.is_completed() {
-            outcome = forward_outcome;
-            break;
-        }
-        total_phases += run.directions.len();
-        accumulate_dependencies(
-            graph,
-            &pool,
-            config.grain,
-            &run,
-            &state,
-            &mut delta,
-            &mut centrality,
-        );
-        sources_done += 1;
+    };
+    let mut label = RunLabel::new("bc", variant.as_str(), graph);
+    if let [root] = source_list {
+        label.root = Some(*root);
     }
-    emit_degradation_warning(&pool, &scope);
-    scope.finish_with_outcome(Some(monitor.take_metrics()), &outcome);
-    (centrality, sources_done, outcome)
+    let (mut run, outcome) = config.drive(label, |exec, grain, scope| {
+        let n = graph.num_vertices();
+        let mut centrality = vec![0.0f64; n];
+        let mut delta = vec![0.0f64; n];
+        let mut state = TraversalState::with_sigma(n);
+        let level_loop = LevelLoop::new(graph, exec, grain, DirectionConfig::always_top_down());
+        let cancel = config.cancel;
+        let tally = config.tallied();
+        // Shared across sources: the advisor samples the first source's
+        // levels, and every later source runs the chosen static discipline.
+        let auto = auto_forward(tally);
+        let mut sources_done = 0usize;
+        // Counted here rather than through the scope so the budget works
+        // with a disabled sink too (a NoopSink never sees the phase events).
+        let mut total_phases = 0usize;
+        let mut outcome = RunOutcome::Completed;
+        for &source in source_list {
+            if (source as usize) >= n {
+                sources_done += 1;
+                continue;
+            }
+            if let Some(stop) = cancel::check(cancel, total_phases) {
+                outcome = stop;
+                break;
+            }
+            state.reset();
+            let sink = OffsetSink::new(scope, scope.phases_so_far());
+            let (run, forward) = match (variant, tally) {
+                (Variant::BranchAvoiding, false) => {
+                    level_loop.run(&state, source, &BcForward::<true, false>, &sink, cancel)
+                }
+                (Variant::BranchAvoiding, true) => {
+                    level_loop.run(&state, source, &BcForward::<true, true>, &sink, cancel)
+                }
+                (Variant::BranchBased, false) => {
+                    level_loop.run(&state, source, &BcForward::<false, false>, &sink, cancel)
+                }
+                (Variant::BranchBased, true) => {
+                    level_loop.run(&state, source, &BcForward::<false, true>, &sink, cancel)
+                }
+                (Variant::Auto, _) => level_loop.run(&state, source, &auto, &sink, cancel),
+            };
+            if !forward.is_completed() {
+                outcome = forward;
+                break;
+            }
+            total_phases += run.directions.len();
+            accumulate_dependencies(
+                graph,
+                exec,
+                grain,
+                &run,
+                &state,
+                &mut delta,
+                &mut centrality,
+            );
+            sources_done += 1;
+        }
+        let run = ParBcRun {
+            scores: centrality,
+            sources_done,
+            threads: exec.parallelism(),
+        };
+        (run, outcome)
+    });
+    if sources.is_none() {
+        // Each undirected pair was counted twice (once per endpoint).
+        for c in &mut run.scores {
+            *c /= 2.0;
+        }
+    }
+    (run, outcome)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cancel::CancelToken;
+    use crate::pool::WorkerPool;
     use bga_graph::generators::{
         barabasi_albert, complete_graph, cycle_graph, grid_2d, path_graph, star_graph, MeshStencil,
     };
@@ -616,13 +495,17 @@ mod tests {
         // Grain 1 forces every level and back-sweep slice to fan out.
         for grain in [1, 4096] {
             for variant in [Variant::BranchBased, Variant::BranchAvoiding] {
+                let on_pool = RunConfig::new().on(&pool).grain(grain);
                 assert_close(
-                    &run_request_on(&g, variant, None, &pool, grain).scores,
+                    &run_request(&g, variant, None, &on_pool).0.scores,
                     &expected,
                 );
             }
+            let on_scoped = RunConfig::new().on(&scoped).grain(grain);
             assert_close(
-                &run_request_on(&g, Variant::BranchAvoiding, None, &scoped, grain).scores,
+                &run_request(&g, Variant::BranchAvoiding, None, &on_scoped)
+                    .0
+                    .scores,
                 &expected,
             );
         }
@@ -706,7 +589,7 @@ mod tests {
                 assert_eq!(a.to_bits(), b.to_bits(), "{threads} threads");
             }
         }
-        // Sampled sources go through the monitored driver when cancellable.
+        // Sampled sources under an (unlimited) cancel token.
         let sources = [0u32, 7, 123, 299];
         let token = CancelToken::new();
         let (run, outcome) = run_request(

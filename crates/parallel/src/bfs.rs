@@ -33,43 +33,23 @@
 //! bottom-up levels discover in ascending vertex order.
 
 use crate::auto::AutoSwitch;
-use crate::cancel::{CancelToken, RunOutcome};
+use crate::cancel::RunOutcome;
 use crate::counters::ThreadTally;
 use crate::engine::{bottom_up_claim, LevelCtx, LevelKernel, LevelLoop, LevelRun, TraversalState};
-use crate::pool::{Execute, PoolConfig, PoolMonitor, WorkerPool};
+use crate::pool::Execute;
 use crate::request::{BfsStrategy, RunConfig, Variant};
-use crate::trace::{emit_degradation_warning, run_footprint, TraceRun};
+use crate::trace::RunLabel;
 use bga_graph::{AdjacencySource, VertexId};
 use bga_kernels::bfs::direction_optimizing::DirectionConfig;
 use bga_kernels::bfs::frontier::Bitmap;
 use bga_kernels::bfs::{BfsResult, INFINITY};
 use bga_kernels::stats::RunCounters;
-use bga_obs::{TraceEvent, TraceSink};
+use bga_obs::TraceSink;
 use bga_perfmodel::advisor::AdvisorConfig;
 use std::ops::Range;
 use std::sync::atomic::Ordering::Relaxed;
-use std::sync::Arc;
 
 pub use crate::engine::Direction;
-
-/// Result of an instrumented parallel BFS run.
-#[derive(Clone, Debug)]
-pub struct ParBfsRun {
-    /// Distances and discovery order (distances match the sequential
-    /// kernels; order is one valid BFS order).
-    pub result: BfsResult,
-    /// Per-level counters merged across worker threads.
-    pub counters: RunCounters,
-    /// Worker count the run actually used.
-    pub threads: usize,
-}
-
-impl ParBfsRun {
-    /// Number of BFS levels traversed.
-    pub fn levels(&self) -> usize {
-        self.counters.num_steps()
-    }
-}
 
 /// Result of a parallel direction-optimizing BFS run.
 #[derive(Clone, Debug)]
@@ -254,207 +234,81 @@ pub(crate) fn auto_level(
     )
 }
 
-/// The direction schedule a strategy pins (always top-down for the plain
-/// disciplines, the configured thresholds for direction-optimizing).
-fn strategy_directions(strategy: BfsStrategy) -> DirectionConfig {
-    match strategy {
-        BfsStrategy::Plain(_) => DirectionConfig::always_top_down(),
-        BfsStrategy::DirectionOptimizing(config) => config,
+impl ParDirBfsRun {
+    /// Assembles a run from the traversal's distances and loop report.
+    pub(crate) fn new(distances: Vec<u32>, run: LevelRun, threads: usize) -> Self {
+        ParDirBfsRun {
+            result: BfsResult::new(distances, run.order),
+            directions: run.directions,
+            counters: run.counters,
+            threads,
+        }
     }
 }
 
-/// The unified request driver behind [`crate::request::run_bfs`]: observed
-/// runs (trace sink or cancel token) go through the monitored driver,
-/// everything else through the unmonitored fast path with the tally
-/// compiled in or out by `config.instrumented`.
-pub(crate) fn run_request<G: AdjacencySource, S: TraceSink>(
+/// The BFS driver behind [`crate::request::run_bfs`] and
+/// [`crate::request::run_bfs_reusing`]: maps the strategy onto a level
+/// kernel and direction schedule and traverses into `state` (already
+/// reset).
+pub(crate) fn run_request<G: AdjacencySource, S: TraceSink, E: Execute>(
     graph: &G,
     root: VertexId,
     strategy: BfsStrategy,
-    config: &RunConfig<'_, S>,
-) -> (ParDirBfsRun, RunOutcome) {
-    let pool_config = config.pool_config();
-    if config.observed() {
-        let dir_config = strategy_directions(strategy);
-        let name = strategy.as_str();
-        return match strategy {
-            BfsStrategy::Plain(Variant::BranchBased) => par_bfs_traced_on(
-                graph,
-                root,
-                &pool_config,
-                dir_config,
-                name,
-                &BranchBasedLevel::<true>,
-                config.sink,
-                config.cancel,
-            ),
-            BfsStrategy::Plain(Variant::Auto) => par_bfs_traced_on(
-                graph,
-                root,
-                &pool_config,
-                dir_config,
-                name,
-                &auto_level(true),
-                config.sink,
-                config.cancel,
-            ),
-            _ => par_bfs_traced_on(
-                graph,
-                root,
-                &pool_config,
-                dir_config,
-                name,
-                &BranchAvoidingLevel::<true>,
-                config.sink,
-                config.cancel,
-            ),
-        };
-    }
-    let pool = WorkerPool::with_config(&pool_config);
-    let run = run_plain_on(
-        graph,
-        root,
-        strategy,
-        config.instrumented,
-        &pool,
-        pool_config.grain,
-    );
-    (run, RunOutcome::Completed)
-}
-
-/// [`run_request`] on an explicit executor: plain kernels, the bench seam.
-pub(crate) fn run_request_on<G: AdjacencySource, E: Execute>(
-    graph: &G,
-    root: VertexId,
-    strategy: BfsStrategy,
-    exec: &E,
-    grain: usize,
-) -> ParDirBfsRun {
-    run_plain_on(graph, root, strategy, false, exec, grain)
-}
-
-/// The unmonitored level-loop driver shared by the plain and instrumented
-/// paths.
-fn run_plain_on<G: AdjacencySource, E: Execute>(
-    graph: &G,
-    root: VertexId,
-    strategy: BfsStrategy,
-    instrumented: bool,
-    exec: &E,
-    grain: usize,
-) -> ParDirBfsRun {
-    let state = TraversalState::new(graph.num_vertices());
-    let run = run_plain_shared(graph, root, strategy, instrumented, exec, grain, &state);
-    ParDirBfsRun {
-        result: BfsResult::new(state.into_distances(), run.order),
-        directions: run.directions,
-        counters: run.counters,
-        threads: exec.parallelism(),
-    }
-}
-
-/// [`run_plain_on`] against a caller-held [`TraversalState`]: resets the
-/// state in place and snapshots the distances out, so a long-lived caller
-/// (the `bga serve` query loop) reuses one atomic-array allocation across
-/// traversals instead of allocating per query.
-pub(crate) fn run_request_reusing<G: AdjacencySource, E: Execute>(
-    graph: &G,
-    root: VertexId,
-    strategy: BfsStrategy,
-    exec: &E,
-    grain: usize,
-    state: &mut TraversalState,
-) -> ParDirBfsRun {
-    assert_eq!(
-        state.len(),
-        graph.num_vertices(),
-        "traversal state sized for a different graph"
-    );
-    state.reset();
-    let run = run_plain_shared(graph, root, strategy, false, exec, grain, state);
-    let distances = state.distances().iter().map(|d| d.load(Relaxed)).collect();
-    ParDirBfsRun {
-        result: BfsResult::new(distances, run.order),
-        directions: run.directions,
-        counters: run.counters,
-        threads: exec.parallelism(),
-    }
-}
-
-/// Kernel dispatch common to the owning and state-reusing drivers.
-fn run_plain_shared<G: AdjacencySource, E: Execute>(
-    graph: &G,
-    root: VertexId,
-    strategy: BfsStrategy,
-    instrumented: bool,
-    exec: &E,
-    grain: usize,
     state: &TraversalState,
-) -> LevelRun {
-    let level_loop = LevelLoop::new(graph, exec, grain, strategy_directions(strategy));
-    match (strategy, instrumented) {
-        (BfsStrategy::Plain(Variant::BranchBased), false) => {
-            level_loop.run(state, root, &BranchBasedLevel::<false>)
-        }
-        (BfsStrategy::Plain(Variant::BranchBased), true) => {
-            level_loop.run(state, root, &BranchBasedLevel::<true>)
-        }
-        (BfsStrategy::Plain(Variant::Auto), tally) => {
-            level_loop.run(state, root, &auto_level(tally))
-        }
-        (_, false) => level_loop.run(state, root, &BranchAvoidingLevel::<false>),
-        (_, true) => level_loop.run(state, root, &BranchAvoidingLevel::<true>),
-    }
+    config: &RunConfig<'_, S, E>,
+) -> ((LevelRun, usize), RunOutcome) {
+    let (variant, directions) = match strategy {
+        BfsStrategy::Plain(variant) => (variant, DirectionConfig::always_top_down()),
+        BfsStrategy::DirectionOptimizing(directions) => (Variant::BranchAvoiding, directions),
+    };
+    let mut label = RunLabel::new("bfs", strategy.as_str(), graph);
+    label.root = Some(root);
+    run_levels(graph, root, variant, directions, state, label, config)
 }
 
-/// The shared traced-run driver: monitored pool, `run-start` header, one
-/// phase event per level, pool batch metrics and the `run-end` trailer,
-/// all delivered to `sink` as a complete `bga-trace-v1` stream. Kernels
-/// run with `TALLY` so the phase counters are real.
-#[allow(clippy::too_many_arguments)]
-fn par_bfs_traced_on<G: AdjacencySource, K: LevelKernel<G>, S: TraceSink>(
+/// The level-loop driver shared by BFS and unit-weight SSSP (whose
+/// buckets *are* levels): picks the level kernel for `variant` and the
+/// tally once, and runs it from `root` into `state` under `directions`.
+/// Returns the loop's report and the worker count.
+pub(crate) fn run_levels<G: AdjacencySource, S: TraceSink, E: Execute>(
     graph: &G,
     root: VertexId,
-    config: &PoolConfig,
-    dir_config: DirectionConfig,
-    variant: &str,
-    kernel: &K,
-    sink: &S,
-    cancel: Option<&CancelToken>,
-) -> (ParDirBfsRun, RunOutcome) {
-    let monitor = PoolMonitor::new();
-    let pool = WorkerPool::with_monitor(config.threads, Arc::clone(&monitor));
-    let scope = TraceRun::start(
-        sink,
-        TraceEvent::RunStart {
-            kernel: "bfs".to_string(),
-            variant: variant.to_string(),
-            vertices: graph.num_vertices(),
-            edges: graph.num_edge_slots(),
-            threads: pool.threads(),
-            grain: config.grain,
-            delta: None,
-            root: Some(root),
-            footprint: Some(run_footprint(graph.footprint())),
-        },
-    );
-    let state = TraversalState::new(graph.num_vertices());
-    let (run, outcome) = LevelLoop::new(graph, &pool, config.grain, dir_config)
-        .run_loop(&state, root, kernel, &scope, cancel);
-    emit_degradation_warning(&pool, &scope);
-    scope.finish_with_outcome(Some(monitor.take_metrics()), &outcome);
-    let result = ParDirBfsRun {
-        result: BfsResult::new(state.into_distances(), run.order),
-        directions: run.directions,
-        counters: run.counters,
-        threads: pool.threads(),
-    };
-    (result, outcome)
+    variant: Variant,
+    directions: DirectionConfig,
+    state: &TraversalState,
+    label: RunLabel,
+    config: &RunConfig<'_, S, E>,
+) -> ((LevelRun, usize), RunOutcome) {
+    config.drive(label, |exec, grain, scope| {
+        let level_loop = LevelLoop::new(graph, exec, grain, directions);
+        let cancel = config.cancel;
+        let (run, outcome) = match (variant, config.tallied()) {
+            (Variant::BranchBased, false) => {
+                level_loop.run(state, root, &BranchBasedLevel::<false>, scope, cancel)
+            }
+            (Variant::BranchBased, true) => {
+                level_loop.run(state, root, &BranchBasedLevel::<true>, scope, cancel)
+            }
+            (Variant::BranchAvoiding, false) => {
+                level_loop.run(state, root, &BranchAvoidingLevel::<false>, scope, cancel)
+            }
+            (Variant::BranchAvoiding, true) => {
+                level_loop.run(state, root, &BranchAvoidingLevel::<true>, scope, cancel)
+            }
+            (Variant::Auto, tally) => {
+                level_loop.run(state, root, &auto_level(tally), scope, cancel)
+            }
+        };
+        ((run, exec.parallelism()), outcome)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cancel::CancelToken;
+    use crate::pool::WorkerPool;
+    use crate::request::run_bfs;
     use bga_graph::generators::{
         barabasi_albert, complete_graph, grid_2d, path_graph, star_graph, MeshStencil,
     };
@@ -485,7 +339,7 @@ mod tests {
         threads: usize,
         variant: Variant,
     ) -> BfsResult {
-        run_request(
+        run_bfs(
             g,
             root,
             BfsStrategy::Plain(variant),
@@ -501,7 +355,7 @@ mod tests {
         threads: usize,
         config: DirectionConfig,
     ) -> ParDirBfsRun {
-        run_request(
+        run_bfs(
             g,
             root,
             BfsStrategy::DirectionOptimizing(config),
@@ -516,7 +370,7 @@ mod tests {
         threads: usize,
         strategy: BfsStrategy,
     ) -> ParDirBfsRun {
-        run_request(
+        run_bfs(
             g,
             root,
             strategy,
@@ -664,37 +518,37 @@ mod tests {
         // Grain of 1 forces fan-out on every level, even tiny ones.
         for grain in [1, 64, 4096] {
             assert_eq!(
-                run_request_on(
+                run_bfs(
                     &g,
                     0,
                     BfsStrategy::Plain(Variant::BranchAvoiding),
-                    &pool,
-                    grain
+                    &RunConfig::new().on(&pool).grain(grain)
                 )
+                .0
                 .result
                 .distances(),
                 &expected[..]
             );
             assert_eq!(
-                run_request_on(
+                run_bfs(
                     &g,
                     0,
                     BfsStrategy::Plain(Variant::BranchBased),
-                    &scoped,
-                    grain
+                    &RunConfig::new().on(&scoped).grain(grain)
                 )
+                .0
                 .result
                 .distances(),
                 &expected[..]
             );
             assert_eq!(
-                run_request_on(
+                run_bfs(
                     &g,
                     0,
                     BfsStrategy::DirectionOptimizing(DirectionConfig::default()),
-                    &pool,
-                    grain
+                    &RunConfig::new().on(&pool).grain(grain)
                 )
+                .0
                 .result
                 .distances(),
                 &expected[..]
@@ -783,7 +637,7 @@ mod tests {
         // untouched — the partial state the cancellation API promises.
         let g = path_graph(40);
         let token = CancelToken::new().with_phase_budget(5);
-        let (run, outcome) = run_request(
+        let (run, outcome) = run_bfs(
             &g,
             0,
             BfsStrategy::Plain(Variant::BranchAvoiding),
@@ -802,7 +656,7 @@ mod tests {
         }
         assert_eq!(run.result.visit_order(), &[0, 1, 2, 3, 4, 5]);
 
-        let (based, based_outcome) = run_request(
+        let (based, based_outcome) = run_bfs(
             &g,
             0,
             BfsStrategy::Plain(Variant::BranchBased),
@@ -816,7 +670,7 @@ mod tests {
     fn uncancelled_bfs_tokens_complete_and_match_the_plain_run() {
         let g = barabasi_albert(500, 3, 13);
         let token = CancelToken::new();
-        let (run, outcome) = run_request(
+        let (run, outcome) = run_bfs(
             &g,
             0,
             BfsStrategy::DirectionOptimizing(DirectionConfig::default()),
@@ -828,7 +682,7 @@ mod tests {
 
         let pre_cancelled = CancelToken::new();
         pre_cancelled.cancel();
-        let (cut, cut_outcome) = run_request(
+        let (cut, cut_outcome) = run_bfs(
             &g,
             0,
             BfsStrategy::Plain(Variant::BranchAvoiding),
@@ -848,7 +702,7 @@ mod tests {
         let g = barabasi_albert(2_000, 3, 17);
         let expected = bfs_distances_reference(&g, 0);
         for threads in [1, 2, 8] {
-            let (run, outcome) = run_request(
+            let (run, outcome) = run_bfs(
                 &g,
                 0,
                 BfsStrategy::Plain(Variant::Auto),
@@ -862,7 +716,7 @@ mod tests {
         assert_eq!(instr.result.distances(), &expected[..]);
         assert_eq!(instr.counters.num_steps(), instr.result.level_count());
         // A plain auto run only tallies the sampled prefix.
-        let plain = run_request(
+        let plain = run_bfs(
             &g,
             0,
             BfsStrategy::Plain(Variant::Auto),

@@ -40,10 +40,10 @@
 //!   the BFS relaxation kernels and the queue↔bitmap frontier flip.
 //! * [`pool`] — the execution layer underneath: a persistent
 //!   [`WorkerPool`] of condvar-parked workers handed edge-balanced chunks
-//!   through an atomic claim counter (spawned once per run, woken once per
-//!   sweep/level), with the old per-sweep `std::thread::scope` behaviour
-//!   kept as [`ScopedExecutor`] for benchmarking. No dependencies beyond
-//!   `std`.
+//!   through an atomic claim counter (spawned once per run unless the
+//!   caller lends one, woken once per sweep/level), with the old
+//!   per-sweep `std::thread::scope` behaviour kept as [`ScopedExecutor`]
+//!   for benchmarking. No dependencies beyond `std`.
 //! * [`cancel`] — cooperative cancellation: a [`CancelToken`] (shared
 //!   flag, optional monotonic deadline, optional phase budget) checked by
 //!   every engine loop at phase boundaries, and the structured
@@ -64,20 +64,19 @@
 //! Every kernel is driven through one front door: the [`request`] module.
 //! A [`request::RunConfig`] carries the run-shaping knobs (thread count,
 //! grain override, instrumentation, an optional [`bga_obs::TraceSink`],
-//! an optional [`CancelToken`]) and each kernel has a single typed entry
-//! point (`request::run_bfs`, `request::run_components`, ...) plus the
-//! dynamic [`request::run`] dispatch over a [`request::KernelRequest`].
-//! (The historical `par_*` free functions were removed; use the request
-//! API.)
+//! an optional [`CancelToken`], an optional borrowed [`Execute`]) and
+//! each kernel has a single typed entry point (`request::run_bfs`,
+//! `request::run_components`, ...) backed by one driver that picks the
+//! variant and the tally once.
 //!
-//! Every engine loop also carries a [`bga_obs::TraceSink`] seam
-//! (`run_traced` on [`LevelLoop`], [`SweepLoop`] and [`BucketLoop`]); a
-//! traced request emits the full `bga-trace-v1` event stream — run
-//! header, one structured event per phase, worker-pool batch metrics from
-//! a monitored pool ([`pool::PoolMonitor`]) and a totals trailer. The
-//! sink is a const generic switch like the kernels' `TALLY`: instantiated
-//! with [`bga_obs::NoopSink`], every emission site compiles out and the
-//! traced paths are bit-identical to the untraced ones.
+//! Every engine loop has one `run` taking a [`bga_obs::TraceSink`] and an
+//! optional [`CancelToken`]; a traced request emits the full
+//! `bga-trace-v1` event stream — run header, one structured event per
+//! phase, worker-pool batch metrics from a monitored pool
+//! ([`pool::PoolMonitor`], when the run owns its pool) and a totals
+//! trailer. The sink is a const generic switch like the kernels' `TALLY`:
+//! instantiated with [`bga_obs::NoopSink`], every emission site compiles
+//! out, so an untraced, uncancelled request is the plain fast path.
 //!
 //! Results are deterministic where it matters: SV labels, BFS distances
 //! and betweenness scores are identical to the sequential kernels for
@@ -120,10 +119,10 @@ pub mod sv;
 mod trace;
 
 pub use auto::{AutoSwitch, SwitchNotice};
-pub use request::{BfsStrategy, KernelOutput, KernelRequest, RequestError, RunConfig, Variant};
+pub use request::{BfsStrategy, RunConfig, Variant};
 
 pub use bc::{BcVariant, ParBcRun};
-pub use bfs::{Direction, ParBfsRun, ParDirBfsRun};
+pub use bfs::{Direction, ParDirBfsRun};
 pub use bitmap::{bitmap_from_frontier, par_fill_bitmap, Bitmap};
 pub use cancel::{CancelToken, InterruptReason, RunOutcome};
 pub use counters::{merge_thread_steps, ThreadTally};

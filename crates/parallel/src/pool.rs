@@ -87,10 +87,14 @@ impl PoolConfig {
     /// count, grain from `BGA_PARALLEL_GRAIN` when set (and a positive
     /// integer), [`PARALLEL_GRAIN`] otherwise.
     pub fn from_env(requested_threads: usize) -> Self {
-        let grain = parse_grain_override(std::env::var(GRAIN_ENV_VAR).ok().as_deref())
-            .unwrap_or(PARALLEL_GRAIN);
-        PoolConfig::new(requested_threads, grain)
+        PoolConfig::new(requested_threads, env_grain())
     }
+}
+
+/// The fan-out grain from `BGA_PARALLEL_GRAIN` when set (and a positive
+/// integer), [`PARALLEL_GRAIN`] otherwise.
+pub(crate) fn env_grain() -> usize {
+    parse_grain_override(std::env::var(GRAIN_ENV_VAR).ok().as_deref()).unwrap_or(PARALLEL_GRAIN)
 }
 
 /// Parses a `BGA_PARALLEL_GRAIN` value: `Some(n)` for a positive integer,
@@ -273,6 +277,36 @@ impl Execute for ScopedExecutor {
         F: Fn(usize, Range<usize>) -> T + Sync,
     {
         run_chunks(ranges, f)
+    }
+}
+
+/// The executor one kernel run resolved: the caller's lent one
+/// ([`crate::request::RunConfig::on`]) or a pool built for this run
+/// alone.
+pub(crate) enum RunExecutor<'a, E> {
+    /// A caller-held executor.
+    Borrowed(&'a E),
+    /// A per-call pool, dropped (and joined) when the run ends.
+    Owned(WorkerPool),
+}
+
+impl<E: Execute> Execute for RunExecutor<'_, E> {
+    fn parallelism(&self) -> usize {
+        match self {
+            RunExecutor::Borrowed(exec) => exec.parallelism(),
+            RunExecutor::Owned(pool) => pool.parallelism(),
+        }
+    }
+
+    fn run<T, F>(&self, ranges: Vec<Range<usize>>, f: F) -> Vec<T>
+    where
+        T: Send,
+        F: Fn(usize, Range<usize>) -> T + Sync,
+    {
+        match self {
+            RunExecutor::Borrowed(exec) => exec.run(ranges, f),
+            RunExecutor::Owned(pool) => pool.run(ranges, f),
+        }
     }
 }
 

@@ -1,54 +1,53 @@
-//! The unified kernel-invocation API: one request + one config, one
-//! `run` per kernel.
+//! The unified kernel-invocation API: one config, one `run_*` per
+//! kernel.
 //!
-//! Historically every parallel kernel grew its own entry-point family
-//! along the `{variant, instrumented, traced, cancellable, executor}`
-//! axes — 19 `par_bfs_*` functions alone — which made multiplexing over
-//! the kernels (the `bga serve` scheduler, the CLI, the benches)
-//! combinatorial. This module collapses those axes into data:
+//! [`RunConfig`] says *how* to run: worker count, grain override,
+//! instrumentation, an optional [`TraceSink`], an optional
+//! [`CancelToken`] and an optional borrowed executor
+//! ([`RunConfig::on`]). The sink and the executor are compile-time type
+//! parameters (`TraceSink::ENABLED` is a `const`, deliberately not
+//! dyn-compatible), so a default config compiles to exactly the untraced
+//! fast path: a per-call [`WorkerPool`], no tally, no trace scaffolding.
 //!
-//! * [`RunConfig`] — *how* to run: worker count, grain override,
-//!   instrumentation, an optional [`TraceSink`] and an optional
-//!   [`CancelToken`]. The sink stays a compile-time type parameter
-//!   (`TraceSink::ENABLED` is a `const`, deliberately not dyn-compatible)
-//!   so a default config compiles to exactly the untraced fast path.
-//! * [`KernelRequest`] — *what* to run: kernel, variant and its
-//!   kernel-specific arguments (root, delta, source set), an owned value
-//!   a server can parse off the wire and hold in a queue.
-//! * `run_*` — one typed dispatch per kernel
-//!   ([`run_components`], [`run_bfs`], [`run_kcore`],
-//!   [`run_betweenness`], [`run_sssp_unit`], [`run_sssp_weighted`]), plus
-//!   the dynamic [`run`] that serves a [`KernelRequest`] against any
-//!   [`AdjacencySource`] and returns a [`KernelOutput`].
-//!
-//! The historical `par_*` free functions have been removed; these
-//! request functions are the only entry points. [`Variant::Auto`] adds
-//! runtime selection on top: the run samples its first phases
-//! instrumented and the [`bga_perfmodel::advisor`] picks the discipline
-//! for the rest.
+//! Each kernel has one typed entry point ([`run_components`],
+//! [`run_bfs`], [`run_kcore`], [`run_betweenness`], [`run_sssp_unit`],
+//! [`run_sssp_weighted`]) and behind it one driver that makes the
+//! variant choice once. [`Variant::Auto`] adds runtime selection on top:
+//! the run samples its first phases instrumented and the
+//! [`bga_perfmodel::advisor`] picks the discipline for the rest.
 //!
 //! ```
 //! use bga_graph::generators::{grid_2d, MeshStencil};
 //! use bga_parallel::request::{run_bfs, BfsStrategy, RunConfig, Variant};
+//! use bga_parallel::WorkerPool;
 //!
 //! let g = grid_2d(16, 16, MeshStencil::VonNeumann);
 //! let cfg = RunConfig::new().threads(4);
 //! let (run, outcome) = run_bfs(&g, 0, BfsStrategy::Plain(Variant::BranchAvoiding), &cfg);
 //! assert!(outcome.is_completed());
 //! assert_eq!(run.result.reached_count(), g.num_vertices());
+//! // A long-lived caller lends its own pool instead of paying a spawn per run.
+//! let pool = WorkerPool::new(2);
+//! let cfg = RunConfig::new().on(&pool).grain(1);
+//! let (run, _) = run_bfs(&g, 0, BfsStrategy::Plain(Variant::BranchBased), &cfg);
+//! assert_eq!(run.threads, 2);
 //! ```
 
 use crate::bc::ParBcRun;
 use crate::bfs::ParDirBfsRun;
 use crate::cancel::{CancelToken, RunOutcome};
+use crate::engine::TraversalState;
 use crate::kcore::ParKcoreRun;
-use crate::pool::{Execute, PoolConfig};
+use crate::pool::{env_grain, Execute, PoolMonitor, RunExecutor, WorkerPool};
 use crate::sssp::{ParSsspRun, ParWssspRun};
 use crate::sv::ParSvRun;
+use crate::trace::{emit_degradation_warning, RunLabel, TraceRun};
 use bga_graph::{AdjacencySource, VertexId, WeightedAdjacencySource};
 use bga_kernels::bfs::direction_optimizing::DirectionConfig;
 use bga_kernels::cc::ComponentLabels;
 use bga_obs::{NoopSink, TraceSink};
+use std::sync::atomic::Ordering::Relaxed;
+use std::sync::Arc;
 
 /// Which per-edge hooking discipline a kernel runs with — the axis the
 /// paper contrasts. One enum for every kernel (the per-kernel aliases
@@ -115,26 +114,37 @@ impl BfsStrategy {
     }
 }
 
-/// How to run a kernel: the execution axes every `par_*` entry point used
-/// to hardcode, folded into one builder.
+/// How to run a kernel, folded into one builder.
 ///
 /// The defaults are the fast path: all cores, environment grain, no
-/// instrumentation, no trace, no cancellation. A [`TraceSink`] is a type
-/// parameter (not a trait object — [`TraceSink::ENABLED`] is a `const`
-/// the kernels compile against), so attaching one via [`RunConfig::traced`]
-/// rebinds the config's type; everything else is runtime data.
-#[derive(Clone, Copy, Debug)]
-pub struct RunConfig<'a, S: TraceSink = NoopSink> {
+/// instrumentation, no trace, no cancellation, a pool built for the run.
+/// A [`TraceSink`] is a type parameter (not a trait object —
+/// [`TraceSink::ENABLED`] is a `const` the kernels compile against), so
+/// attaching one via [`RunConfig::traced`] rebinds the config's type; so
+/// does lending an executor via [`RunConfig::on`]. Everything else is
+/// runtime data.
+pub struct RunConfig<'a, S: TraceSink = NoopSink, E: Execute = WorkerPool> {
     pub(crate) threads: usize,
     pub(crate) grain: Option<usize>,
     pub(crate) instrumented: bool,
     pub(crate) sink: &'a S,
     pub(crate) cancel: Option<&'a CancelToken>,
+    pub(crate) exec: Option<&'a E>,
 }
 
-impl RunConfig<'static, NoopSink> {
+// Manual impls: a derive would demand `S: Clone` and `E: Clone`, but the
+// config only holds references to them.
+impl<S: TraceSink, E: Execute> Clone for RunConfig<'_, S, E> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<S: TraceSink, E: Execute> Copy for RunConfig<'_, S, E> {}
+
+impl RunConfig<'static, NoopSink, WorkerPool> {
     /// The default configuration: every available core, grain from the
-    /// environment, plain uninstrumented kernels.
+    /// environment, plain uninstrumented kernels on a per-call pool.
     pub fn new() -> Self {
         RunConfig {
             threads: 0,
@@ -142,18 +152,20 @@ impl RunConfig<'static, NoopSink> {
             instrumented: false,
             sink: &NoopSink,
             cancel: None,
+            exec: None,
         }
     }
 }
 
-impl Default for RunConfig<'static, NoopSink> {
+impl Default for RunConfig<'static, NoopSink, WorkerPool> {
     fn default() -> Self {
         RunConfig::new()
     }
 }
 
-impl<'a, S: TraceSink> RunConfig<'a, S> {
+impl<'a, S: TraceSink, E: Execute> RunConfig<'a, S, E> {
     /// Worker-thread count; `0` (the default) uses every available core.
+    /// Ignored when an executor is lent with [`RunConfig::on`].
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -177,14 +189,16 @@ impl<'a, S: TraceSink> RunConfig<'a, S> {
 
     /// Attaches a [`TraceSink`] that receives the run's `bga-trace-v1`
     /// event stream; rebinds the config's sink type. A traced run always
-    /// tallies (phase counters are real) and monitors the pool.
-    pub fn traced<T: TraceSink>(self, sink: &'a T) -> RunConfig<'a, T> {
+    /// tallies (phase counters are real), and a run on its own pool also
+    /// reports the pool's batch metrics.
+    pub fn traced<T: TraceSink>(self, sink: &'a T) -> RunConfig<'a, T, E> {
         RunConfig {
             threads: self.threads,
             grain: self.grain,
             instrumented: self.instrumented,
             sink,
             cancel: self.cancel,
+            exec: self.exec,
         }
     }
 
@@ -195,133 +209,64 @@ impl<'a, S: TraceSink> RunConfig<'a, S> {
         self
     }
 
-    /// The resolved pool configuration this run will use.
-    pub(crate) fn pool_config(&self) -> PoolConfig {
-        let mut config = PoolConfig::from_env(self.threads);
-        if let Some(grain) = self.grain {
-            config.grain = grain;
-        }
-        config
-    }
-
-    /// Whether the run needs the monitored driver (trace emission or
-    /// cancellation checks); plain and instrumented-only runs take the
-    /// unmonitored fast path.
-    pub(crate) fn observed(&self) -> bool {
-        S::ENABLED || self.cancel.is_some()
-    }
-}
-
-/// What to run: kernel, variant and kernel-specific arguments. An owned,
-/// queueable value — the unit of work `bga serve` parses off the wire —
-/// dispatched by [`run`].
-#[derive(Clone, Debug, PartialEq)]
-pub enum KernelRequest {
-    /// Shiloach-Vishkin connected components.
-    Components {
-        /// Hooking discipline.
-        variant: Variant,
-    },
-    /// Level-synchronous BFS from `root`.
-    Bfs {
-        /// Traversal root.
-        root: VertexId,
-        /// Expansion strategy.
-        strategy: BfsStrategy,
-    },
-    /// K-core decomposition by concurrent peeling.
-    Kcore {
-        /// Peeling discipline.
-        variant: Variant,
-    },
-    /// Brandes betweenness centrality. With `sources: None` this is the
-    /// exact halved all-pairs accumulation; with an explicit source set
-    /// it is the raw un-halved partial accumulation sampled-source
-    /// approximations scale.
-    Betweenness {
-        /// Forward-phase discipline.
-        variant: Variant,
-        /// Explicit source subset, or `None` for all vertices.
-        sources: Option<Vec<VertexId>>,
-    },
-    /// Unit-weight SSSP (level-loop degeneration) from `root`.
-    SsspUnit {
-        /// Traversal source.
-        root: VertexId,
-        /// Relaxation discipline.
-        variant: Variant,
-    },
-    /// Weighted delta-stepping SSSP from `root` with bucket width
-    /// `delta`. Needs a [`WeightedAdjacencySource`]; the unweighted
-    /// [`run`] dispatch refuses it with [`RequestError::RequiresWeights`].
-    SsspWeighted {
-        /// Traversal source.
-        root: VertexId,
-        /// Bucket width.
-        delta: u32,
-        /// Relaxation discipline.
-        variant: Variant,
-    },
-}
-
-impl KernelRequest {
-    /// The kernel's serialized name (`cc`, `bfs`, `kcore`, `bc`, `sssp`,
-    /// `sssp-weighted`) — the same names trace headers carry.
-    pub fn kernel_name(&self) -> &'static str {
-        match self {
-            KernelRequest::Components { .. } => "cc",
-            KernelRequest::Bfs { .. } => "bfs",
-            KernelRequest::Kcore { .. } => "kcore",
-            KernelRequest::Betweenness { .. } => "bc",
-            KernelRequest::SsspUnit { .. } => "sssp",
-            KernelRequest::SsspWeighted { .. } => "sssp-weighted",
+    /// Runs on a caller-held executor instead of a pool built for the
+    /// run: the seam long-lived callers (the `bga serve` query loop, the
+    /// benches, the forced-fan-out tests) use to keep pool spawn out of
+    /// every call. The worker count is then the executor's.
+    pub fn on<F: Execute>(self, exec: &'a F) -> RunConfig<'a, S, F> {
+        RunConfig {
+            threads: self.threads,
+            grain: self.grain,
+            instrumented: self.instrumented,
+            sink: self.sink,
+            cancel: self.cancel,
+            exec: Some(exec),
         }
     }
-}
 
-/// A finished kernel run, one arm per [`KernelRequest`] arm.
-#[derive(Clone, Debug)]
-pub enum KernelOutput {
-    /// Connected-components run.
-    Components(ParSvRun),
-    /// BFS run (directions per level; counters when instrumented).
-    Bfs(ParDirBfsRun),
-    /// K-core run.
-    Kcore(ParKcoreRun),
-    /// Betweenness run.
-    Betweenness(ParBcRun),
-    /// Unit-weight SSSP run.
-    SsspUnit(ParSsspRun),
-    /// Weighted SSSP run.
-    SsspWeighted(ParWssspRun),
-}
+    /// Whether kernels compile their tally in: instrumented runs, and
+    /// traced runs (phase counters are real). A cancel token or resume
+    /// state does not need one.
+    pub(crate) fn tallied(&self) -> bool {
+        self.instrumented || S::ENABLED
+    }
 
-/// Why a [`KernelRequest`] could not be dispatched.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum RequestError {
-    /// A weighted kernel was requested against an unweighted adjacency
-    /// source; use [`run_sssp_weighted`] with a
-    /// [`WeightedAdjacencySource`].
-    RequiresWeights,
-}
-
-impl std::fmt::Display for RequestError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RequestError::RequiresWeights => {
-                write!(f, "request requires an edge-weighted graph")
+    /// Runs one kernel body inside the run's scaffolding: resolves the
+    /// executor (the lent one, or a pool built for this run — monitored
+    /// only when traced), opens the trace scope (header only when
+    /// traced), hands `body` the executor, grain and scope, then closes
+    /// the scope with the pool's degradation warning, metrics and the
+    /// outcome-marked trailer. With a [`NoopSink`] the scope compiles to
+    /// nothing and this is the plain per-call-pool run.
+    pub(crate) fn drive<R>(
+        &self,
+        label: RunLabel,
+        body: impl FnOnce(&RunExecutor<'_, E>, usize, &TraceRun<'_, S>) -> (R, RunOutcome),
+    ) -> (R, RunOutcome) {
+        let grain = self.grain.unwrap_or_else(env_grain);
+        let monitor = (S::ENABLED && self.exec.is_none()).then(PoolMonitor::new);
+        let exec = match (self.exec, &monitor) {
+            (Some(exec), _) => RunExecutor::Borrowed(exec),
+            (None, Some(monitor)) => {
+                RunExecutor::Owned(WorkerPool::with_monitor(self.threads, Arc::clone(monitor)))
             }
+            (None, None) => RunExecutor::Owned(WorkerPool::new(self.threads)),
+        };
+        let scope = TraceRun::start(self.sink, || label.header(exec.parallelism(), grain));
+        let (result, outcome) = body(&exec, grain, &scope);
+        if let RunExecutor::Owned(pool) = &exec {
+            emit_degradation_warning(pool, &scope);
         }
+        scope.finish_with_outcome(monitor.map(|m| m.take_metrics()), &outcome);
+        (result, outcome)
     }
 }
-
-impl std::error::Error for RequestError {}
 
 /// Parallel Shiloach-Vishkin connected components under `config`.
-pub fn run_components<G: AdjacencySource, S: TraceSink>(
+pub fn run_components<G: AdjacencySource, S: TraceSink, E: Execute>(
     graph: &G,
     variant: Variant,
-    config: &RunConfig<'_, S>,
+    config: &RunConfig<'_, S, E>,
 ) -> (ParSvRun, RunOutcome) {
     crate::sv::run_request(graph, variant, None, config)
 }
@@ -329,81 +274,60 @@ pub fn run_components<G: AdjacencySource, S: TraceSink>(
 /// Resumes connected components from partial labels (typically the state
 /// an interrupted run returned): sweeps continue lowering the given
 /// labels instead of the identity and converge to the same fixpoint.
-pub fn run_components_resumed<G: AdjacencySource, S: TraceSink>(
+pub fn run_components_resumed<G: AdjacencySource, S: TraceSink, E: Execute>(
     graph: &G,
     variant: Variant,
     labels: &ComponentLabels,
-    config: &RunConfig<'_, S>,
+    config: &RunConfig<'_, S, E>,
 ) -> (ParSvRun, RunOutcome) {
     crate::sv::run_request(graph, variant, Some(labels), config)
 }
 
-/// [`run_components`] on an explicit executor — the seam the benchmarks
-/// and forced-fan-out tests use. Plain kernels (no tally, no trace).
-pub fn run_components_on<G: AdjacencySource, E: Execute>(
-    graph: &G,
-    variant: Variant,
-    exec: &E,
-    grain: usize,
-) -> ParSvRun {
-    crate::sv::run_request_on(graph, variant, exec, grain)
-}
-
 /// Parallel BFS from `root` under `config`.
-pub fn run_bfs<G: AdjacencySource, S: TraceSink>(
+pub fn run_bfs<G: AdjacencySource, S: TraceSink, E: Execute>(
     graph: &G,
     root: VertexId,
     strategy: BfsStrategy,
-    config: &RunConfig<'_, S>,
+    config: &RunConfig<'_, S, E>,
 ) -> (ParDirBfsRun, RunOutcome) {
-    crate::bfs::run_request(graph, root, strategy, config)
+    let state = TraversalState::new(graph.num_vertices());
+    let ((run, threads), outcome) = crate::bfs::run_request(graph, root, strategy, &state, config);
+    (
+        ParDirBfsRun::new(state.into_distances(), run, threads),
+        outcome,
+    )
 }
 
-/// [`run_bfs`] on an explicit executor; plain kernels.
-pub fn run_bfs_on<G: AdjacencySource, E: Execute>(
-    graph: &G,
-    root: VertexId,
-    strategy: BfsStrategy,
-    exec: &E,
-    grain: usize,
-) -> ParDirBfsRun {
-    crate::bfs::run_request_on(graph, root, strategy, exec, grain)
-}
-
-/// [`run_bfs_on`] reusing a caller-held
-/// [`TraversalState`](crate::engine::TraversalState) allocation: the
+/// [`run_bfs`] reusing a caller-held [`TraversalState`] allocation: the
 /// state is reset in place before the traversal and the distances are
 /// snapshotted out, so a long-lived caller (the `bga serve` query loop)
 /// answers repeated BFS queries without reallocating the atomic arrays.
 /// The state must be sized for `graph`.
-pub fn run_bfs_reusing<G: AdjacencySource, E: Execute>(
+pub fn run_bfs_reusing<G: AdjacencySource, S: TraceSink, E: Execute>(
     graph: &G,
     root: VertexId,
     strategy: BfsStrategy,
-    exec: &E,
-    grain: usize,
-    state: &mut crate::engine::TraversalState,
-) -> ParDirBfsRun {
-    crate::bfs::run_request_reusing(graph, root, strategy, exec, grain, state)
+    config: &RunConfig<'_, S, E>,
+    state: &mut TraversalState,
+) -> (ParDirBfsRun, RunOutcome) {
+    assert_eq!(
+        state.len(),
+        graph.num_vertices(),
+        "traversal state sized for a different graph"
+    );
+    state.reset();
+    let ((run, threads), outcome) = crate::bfs::run_request(graph, root, strategy, state, config);
+    let distances = state.distances().iter().map(|d| d.load(Relaxed)).collect();
+    (ParDirBfsRun::new(distances, run, threads), outcome)
 }
 
 /// Parallel k-core decomposition under `config`.
-pub fn run_kcore<G: AdjacencySource, S: TraceSink>(
+pub fn run_kcore<G: AdjacencySource, S: TraceSink, E: Execute>(
     graph: &G,
     variant: Variant,
-    config: &RunConfig<'_, S>,
+    config: &RunConfig<'_, S, E>,
 ) -> (ParKcoreRun, RunOutcome) {
     crate::kcore::run_request(graph, variant, config)
-}
-
-/// [`run_kcore`] on an explicit executor; plain kernels.
-pub fn run_kcore_on<G: AdjacencySource, E: Execute>(
-    graph: &G,
-    variant: Variant,
-    exec: &E,
-    grain: usize,
-) -> ParKcoreRun {
-    crate::kcore::run_request_on(graph, variant, exec, grain)
 }
 
 /// Parallel Brandes betweenness centrality under `config`. With
@@ -411,122 +335,53 @@ pub fn run_kcore_on<G: AdjacencySource, E: Execute>(
 /// accumulation; with an explicit source set they are the raw un-halved
 /// partial accumulation (see [`ParBcRun`] for the partial-result
 /// semantics under cancellation).
-pub fn run_betweenness<G: AdjacencySource, S: TraceSink>(
+pub fn run_betweenness<G: AdjacencySource, S: TraceSink, E: Execute>(
     graph: &G,
     variant: Variant,
     sources: Option<&[VertexId]>,
-    config: &RunConfig<'_, S>,
+    config: &RunConfig<'_, S, E>,
 ) -> (ParBcRun, RunOutcome) {
     crate::bc::run_request(graph, variant, sources, config)
 }
 
-/// [`run_betweenness`] on an explicit executor; plain kernels.
-pub fn run_betweenness_on<G: AdjacencySource, E: Execute>(
-    graph: &G,
-    variant: Variant,
-    sources: Option<&[VertexId]>,
-    exec: &E,
-    grain: usize,
-) -> ParBcRun {
-    crate::bc::run_request_on(graph, variant, sources, exec, grain)
-}
-
 /// Parallel unit-weight SSSP from `root` under `config`.
-pub fn run_sssp_unit<G: AdjacencySource, S: TraceSink>(
+pub fn run_sssp_unit<G: AdjacencySource, S: TraceSink, E: Execute>(
     graph: &G,
     root: VertexId,
     variant: Variant,
-    config: &RunConfig<'_, S>,
+    config: &RunConfig<'_, S, E>,
 ) -> (ParSsspRun, RunOutcome) {
     crate::sssp::run_unit_request(graph, root, variant, config)
 }
 
-/// [`run_sssp_unit`] on an explicit executor; plain kernels.
-pub fn run_sssp_unit_on<G: AdjacencySource, E: Execute>(
-    graph: &G,
-    root: VertexId,
-    variant: Variant,
-    exec: &E,
-    grain: usize,
-) -> ParSsspRun {
-    crate::sssp::run_unit_request_on(graph, root, variant, exec, grain)
-}
-
 /// Parallel weighted delta-stepping SSSP from `root` under `config`.
-pub fn run_sssp_weighted<W: WeightedAdjacencySource, S: TraceSink>(
+pub fn run_sssp_weighted<W: WeightedAdjacencySource, S: TraceSink, E: Execute>(
     graph: &W,
     root: VertexId,
     delta: u32,
     variant: Variant,
-    config: &RunConfig<'_, S>,
+    config: &RunConfig<'_, S, E>,
 ) -> (ParWssspRun, RunOutcome) {
     crate::sssp::run_weighted_request(graph, root, delta, variant, None, config)
 }
 
 /// Resumes weighted delta-stepping from the partial distances an
 /// interrupted run returned; bit-identical to an uninterrupted run.
-pub fn run_sssp_weighted_resumed<W: WeightedAdjacencySource, S: TraceSink>(
+pub fn run_sssp_weighted_resumed<W: WeightedAdjacencySource, S: TraceSink, E: Execute>(
     graph: &W,
     root: VertexId,
     delta: u32,
     variant: Variant,
     distances: &[u32],
-    config: &RunConfig<'_, S>,
+    config: &RunConfig<'_, S, E>,
 ) -> (ParWssspRun, RunOutcome) {
     crate::sssp::run_weighted_request(graph, root, delta, variant, Some(distances), config)
-}
-
-/// [`run_sssp_weighted`] on an explicit executor; plain kernels.
-pub fn run_sssp_weighted_on<W: WeightedAdjacencySource, E: Execute>(
-    graph: &W,
-    root: VertexId,
-    delta: u32,
-    variant: Variant,
-    exec: &E,
-    grain: usize,
-) -> ParWssspRun {
-    crate::sssp::run_weighted_request_on(graph, root, delta, variant, exec, grain)
-}
-
-/// Dispatches a [`KernelRequest`] against an unweighted adjacency source
-/// — the single entry the `bga serve` scheduler multiplexes over.
-/// Weighted requests need weights the source does not carry and are
-/// refused with [`RequestError::RequiresWeights`]; serve them through
-/// [`run_sssp_weighted`].
-pub fn run<G: AdjacencySource, S: TraceSink>(
-    graph: &G,
-    request: &KernelRequest,
-    config: &RunConfig<'_, S>,
-) -> Result<(KernelOutput, RunOutcome), RequestError> {
-    Ok(match request {
-        KernelRequest::Components { variant } => {
-            let (run, outcome) = run_components(graph, *variant, config);
-            (KernelOutput::Components(run), outcome)
-        }
-        KernelRequest::Bfs { root, strategy } => {
-            let (run, outcome) = run_bfs(graph, *root, *strategy, config);
-            (KernelOutput::Bfs(run), outcome)
-        }
-        KernelRequest::Kcore { variant } => {
-            let (run, outcome) = run_kcore(graph, *variant, config);
-            (KernelOutput::Kcore(run), outcome)
-        }
-        KernelRequest::Betweenness { variant, sources } => {
-            let (run, outcome) = run_betweenness(graph, *variant, sources.as_deref(), config);
-            (KernelOutput::Betweenness(run), outcome)
-        }
-        KernelRequest::SsspUnit { root, variant } => {
-            let (run, outcome) = run_sssp_unit(graph, *root, *variant, config);
-            (KernelOutput::SsspUnit(run), outcome)
-        }
-        KernelRequest::SsspWeighted { .. } => return Err(RequestError::RequiresWeights),
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use bga_graph::generators::{barabasi_albert, grid_2d, MeshStencil};
+    use bga_graph::generators::{grid_2d, MeshStencil};
 
     #[test]
     fn variant_parses_and_serializes() {
@@ -536,47 +391,6 @@ mod tests {
         assert_eq!(Variant::BranchAvoiding.as_str(), "branch-avoiding");
         assert_eq!(Variant::Auto.as_str(), "auto");
         assert!("sideways".parse::<Variant>().is_err());
-    }
-
-    #[test]
-    fn dynamic_dispatch_matches_typed_runs() {
-        let g = barabasi_albert(400, 3, 11);
-        let cfg = RunConfig::new().threads(2);
-        for variant in [Variant::BranchBased, Variant::BranchAvoiding] {
-            let (typed, _) = run_components(&g, variant, &cfg);
-            match run(&g, &KernelRequest::Components { variant }, &cfg).unwrap() {
-                (KernelOutput::Components(run), outcome) => {
-                    assert!(outcome.is_completed());
-                    assert_eq!(run.labels.as_slice(), typed.labels.as_slice());
-                }
-                other => panic!("wrong output arm: {other:?}"),
-            }
-        }
-        let request = KernelRequest::Bfs {
-            root: 0,
-            strategy: BfsStrategy::Plain(Variant::BranchAvoiding),
-        };
-        match run(&g, &request, &cfg).unwrap() {
-            (KernelOutput::Bfs(run), outcome) => {
-                assert!(outcome.is_completed());
-                assert_eq!(run.result.reached_count(), g.num_vertices());
-            }
-            other => panic!("wrong output arm: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn weighted_requests_are_refused_on_unweighted_sources() {
-        let g = grid_2d(4, 4, MeshStencil::VonNeumann);
-        let request = KernelRequest::SsspWeighted {
-            root: 0,
-            delta: 4,
-            variant: Variant::BranchAvoiding,
-        };
-        assert_eq!(
-            run(&g, &request, &RunConfig::new()).unwrap_err(),
-            RequestError::RequiresWeights
-        );
     }
 
     #[test]

@@ -31,20 +31,19 @@
 //! the intra-sweep interleaving may differ.
 
 use crate::auto::AutoSwitch;
-use crate::cancel::{CancelToken, RunOutcome};
+use crate::cancel::RunOutcome;
 use crate::counters::ThreadTally;
 use crate::engine::{SweepKernel, SweepLoop};
-use crate::pool::{Execute, PoolConfig, PoolMonitor, WorkerPool};
+use crate::pool::Execute;
 use crate::request::{RunConfig, Variant};
-use crate::trace::{emit_degradation_warning, run_footprint, TraceRun};
+use crate::trace::RunLabel;
 use bga_graph::AdjacencySource;
 use bga_kernels::cc::ComponentLabels;
 use bga_kernels::stats::RunCounters;
-use bga_obs::{TraceEvent, TraceSink};
+use bga_obs::TraceSink;
 use bga_perfmodel::advisor::AdvisorConfig;
 use std::ops::Range;
 use std::sync::atomic::{AtomicU32, Ordering::Relaxed};
-use std::sync::Arc;
 
 /// Result of a parallel SV run.
 #[derive(Clone, Debug)]
@@ -89,14 +88,6 @@ fn auto_sweep<'a>(
         AdvisorConfig::default(),
         tally_always,
     )
-}
-
-fn identity_labels(n: usize) -> Vec<AtomicU32> {
-    (0..n as u32).map(AtomicU32::new).collect()
-}
-
-fn into_labels(ccid: Vec<AtomicU32>) -> ComponentLabels {
-    ComponentLabels::new(ccid.into_iter().map(AtomicU32::into_inner).collect())
 }
 
 /// CAS-loop hooking over a borrowed label array: the branch-based sweep
@@ -200,101 +191,16 @@ impl<G: AdjacencySource, const TALLY: bool> SweepKernel<G> for BranchAvoidingSwe
     }
 }
 
-/// The unified request driver behind [`crate::request::run_components`]:
-/// routes observed runs (trace sink or cancel token) and resumes through
-/// the monitored driver, everything else through the unmonitored fast
-/// path with the tally compiled in or out by `config.instrumented`.
-pub(crate) fn run_request<G: AdjacencySource, S: TraceSink>(
+/// The one driver behind [`crate::request::run_components`] and its
+/// resumed form: `initial` labels (instead of the identity) are how an
+/// interrupted run is resumed. The variant and tally are chosen once; the
+/// executor, trace scope and cancel token come from `config`.
+pub(crate) fn run_request<G: AdjacencySource, S: TraceSink, E: Execute>(
     graph: &G,
     variant: Variant,
     initial: Option<&ComponentLabels>,
-    config: &RunConfig<'_, S>,
+    config: &RunConfig<'_, S, E>,
 ) -> (ParSvRun, RunOutcome) {
-    let pool_config = config.pool_config();
-    if config.observed() || initial.is_some() {
-        return par_sv_run_impl(
-            graph,
-            &pool_config,
-            variant,
-            initial,
-            config.sink,
-            config.cancel,
-        );
-    }
-    let pool = WorkerPool::with_config(&pool_config);
-    let ccid = identity_labels(graph.num_vertices());
-    let sweep_loop = SweepLoop::new(graph, &pool, pool_config.grain);
-    let run = match (variant, config.instrumented) {
-        (Variant::BranchAvoiding, false) => {
-            sweep_loop.run(&BranchAvoidingSweep::<false> { ccid: &ccid })
-        }
-        (Variant::BranchAvoiding, true) => {
-            sweep_loop.run(&BranchAvoidingSweep::<true> { ccid: &ccid })
-        }
-        (Variant::BranchBased, false) => sweep_loop.run(&BranchBasedSweep::<false> { ccid: &ccid }),
-        (Variant::BranchBased, true) => sweep_loop.run(&BranchBasedSweep::<true> { ccid: &ccid }),
-        (Variant::Auto, tally) => sweep_loop.run(&auto_sweep(&ccid, tally)),
-    };
-    (
-        ParSvRun {
-            labels: into_labels(ccid),
-            sweeps: run.sweeps,
-            counters: run.counters,
-            threads: pool.threads(),
-        },
-        RunOutcome::Completed,
-    )
-}
-
-/// [`run_request`] on an explicit executor: plain kernels, the bench seam.
-pub(crate) fn run_request_on<G: AdjacencySource, E: Execute>(
-    graph: &G,
-    variant: Variant,
-    exec: &E,
-    grain: usize,
-) -> ParSvRun {
-    let ccid = identity_labels(graph.num_vertices());
-    let sweep_loop = SweepLoop::new(graph, exec, grain);
-    let run = match variant {
-        Variant::BranchAvoiding => sweep_loop.run(&BranchAvoidingSweep::<false> { ccid: &ccid }),
-        Variant::BranchBased => sweep_loop.run(&BranchBasedSweep::<false> { ccid: &ccid }),
-        Variant::Auto => sweep_loop.run(&auto_sweep(&ccid, false)),
-    };
-    ParSvRun {
-        labels: into_labels(ccid),
-        sweeps: run.sweeps,
-        counters: run.counters,
-        threads: exec.parallelism(),
-    }
-}
-
-/// The shared traced/cancellable run driver for both sweep disciplines.
-/// `initial` labels (instead of the identity) are how an interrupted run
-/// is resumed; `cancel` is checked at every sweep boundary.
-fn par_sv_run_impl<G: AdjacencySource, S: TraceSink>(
-    graph: &G,
-    config: &PoolConfig,
-    variant: Variant,
-    initial: Option<&ComponentLabels>,
-    sink: &S,
-    cancel: Option<&CancelToken>,
-) -> (ParSvRun, RunOutcome) {
-    let monitor = PoolMonitor::new();
-    let pool = WorkerPool::with_monitor(config.threads, Arc::clone(&monitor));
-    let scope = TraceRun::start(
-        sink,
-        TraceEvent::RunStart {
-            kernel: "cc".to_string(),
-            variant: variant.as_str().to_string(),
-            vertices: graph.num_vertices(),
-            edges: graph.num_edge_slots(),
-            threads: pool.threads(),
-            grain: config.grain,
-            delta: None,
-            root: None,
-            footprint: Some(run_footprint(graph.footprint())),
-        },
-    );
     let ccid: Vec<AtomicU32> = match initial {
         Some(labels) => labels
             .as_slice()
@@ -302,34 +208,49 @@ fn par_sv_run_impl<G: AdjacencySource, S: TraceSink>(
             .copied()
             .map(AtomicU32::new)
             .collect(),
-        None => identity_labels(graph.num_vertices()),
+        None => (0..graph.num_vertices() as u32)
+            .map(AtomicU32::new)
+            .collect(),
     };
-    let sweep_loop = SweepLoop::new(graph, &pool, config.grain);
-    let (run, outcome) = match variant {
-        Variant::BranchAvoiding => {
-            sweep_loop.run_loop(&BranchAvoidingSweep::<true> { ccid: &ccid }, &scope, cancel)
-        }
-        Variant::BranchBased => {
-            sweep_loop.run_loop(&BranchBasedSweep::<true> { ccid: &ccid }, &scope, cancel)
-        }
-        Variant::Auto => sweep_loop.run_loop(&auto_sweep(&ccid, true), &scope, cancel),
-    };
-    emit_degradation_warning(&pool, &scope);
-    scope.finish_with_outcome(Some(monitor.take_metrics()), &outcome);
-    let result = ParSvRun {
-        labels: into_labels(ccid),
-        sweeps: run.sweeps,
-        counters: run.counters,
-        threads: pool.threads(),
-    };
-    (result, outcome)
+    let label = RunLabel::new("cc", variant.as_str(), graph);
+    config.drive(label, move |exec, grain, scope| {
+        let sweep_loop = SweepLoop::new(graph, exec, grain);
+        let (ccid_ref, cancel) = (&ccid[..], config.cancel);
+        let (run, outcome) = match (variant, config.tallied()) {
+            (Variant::BranchAvoiding, false) => {
+                let kernel = BranchAvoidingSweep::<false> { ccid: ccid_ref };
+                sweep_loop.run(&kernel, scope, cancel)
+            }
+            (Variant::BranchAvoiding, true) => {
+                let kernel = BranchAvoidingSweep::<true> { ccid: ccid_ref };
+                sweep_loop.run(&kernel, scope, cancel)
+            }
+            (Variant::BranchBased, false) => {
+                let kernel = BranchBasedSweep::<false> { ccid: ccid_ref };
+                sweep_loop.run(&kernel, scope, cancel)
+            }
+            (Variant::BranchBased, true) => {
+                let kernel = BranchBasedSweep::<true> { ccid: ccid_ref };
+                sweep_loop.run(&kernel, scope, cancel)
+            }
+            (Variant::Auto, tally) => sweep_loop.run(&auto_sweep(ccid_ref, tally), scope, cancel),
+        };
+        let result = ParSvRun {
+            labels: ComponentLabels::new(ccid.into_iter().map(AtomicU32::into_inner).collect()),
+            sweeps: run.sweeps,
+            counters: run.counters,
+            threads: exec.parallelism(),
+        };
+        (result, outcome)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pool::ScopedExecutor;
-    use crate::request::{run_components, run_components_on, run_components_resumed};
+    use crate::cancel::CancelToken;
+    use crate::pool::{ScopedExecutor, WorkerPool};
+    use crate::request::{run_components, run_components_resumed};
     use bga_graph::generators::{barabasi_albert, erdos_renyi_gnp, grid_2d, MeshStencil};
     use bga_graph::properties::connected_components_union_find;
     use bga_graph::{CsrGraph, GraphBuilder};
@@ -385,11 +306,13 @@ mod tests {
         let scoped = ScopedExecutor::new(4);
         // Grain of 1 forces fan-out on every sweep, even on tiny graphs.
         for grain in [1, 4096] {
-            let pool_run = run_components_on(&g, Variant::BranchAvoiding, &pool, grain);
-            let scoped_run = run_components_on(&g, Variant::BranchAvoiding, &scoped, grain);
+            let on_pool = RunConfig::new().on(&pool).grain(grain);
+            let on_scoped = RunConfig::new().on(&scoped).grain(grain);
+            let pool_run = run_components(&g, Variant::BranchAvoiding, &on_pool).0;
+            let scoped_run = run_components(&g, Variant::BranchAvoiding, &on_scoped).0;
             assert_eq!(pool_run.labels.as_slice(), expected.as_slice());
             assert_eq!(scoped_run.labels.as_slice(), expected.as_slice());
-            let pool_based = run_components_on(&g, Variant::BranchBased, &pool, grain);
+            let pool_based = run_components(&g, Variant::BranchBased, &on_pool).0;
             assert_eq!(pool_based.labels.as_slice(), expected.as_slice());
         }
     }

@@ -10,7 +10,7 @@
 
 use crate::cancel::RunOutcome;
 use crate::pool::{PoolMetrics, WorkerPool};
-use bga_graph::GraphFootprint;
+use bga_graph::{AdjacencySource, GraphFootprint, VertexId};
 use bga_obs::{PhaseCounters, RunFootprint, TraceEvent, TraceSink};
 use std::sync::Mutex;
 use std::time::Instant;
@@ -18,7 +18,7 @@ use std::time::Instant;
 /// Scopes one kernel run over an inner sink: header on construction,
 /// phase accounting while the engine runs, pool metrics and trailer on
 /// [`TraceRun::finish`]. Implements [`TraceSink`] itself so it can be
-/// handed straight to the engine loops' `run_traced`; with a disabled
+/// handed straight to the engine loops' `run`; with a disabled
 /// inner sink every method is a no-op.
 pub(crate) struct TraceRun<'a, S: TraceSink> {
     inner: &'a S,
@@ -28,11 +28,12 @@ pub(crate) struct TraceRun<'a, S: TraceSink> {
 }
 
 impl<'a, S: TraceSink> TraceRun<'a, S> {
-    /// Emits the `run-start` header and opens the run scope.
-    pub(crate) fn start(inner: &'a S, header: TraceEvent) -> Self {
+    /// Emits the `run-start` header and opens the run scope. The header
+    /// is only built when the sink is enabled.
+    pub(crate) fn start(inner: &'a S, header: impl FnOnce() -> TraceEvent) -> Self {
         let started = S::ENABLED.then(Instant::now);
         if S::ENABLED {
-            inner.emit(header);
+            inner.emit(header());
         }
         TraceRun {
             inner,
@@ -84,15 +85,57 @@ impl<S: TraceSink> TraceSink for TraceRun<'_, S> {
     }
 }
 
-/// Converts the graph crate's [`GraphFootprint`] into the owned form the
-/// `run-start` header carries (`bga-obs` cannot depend on `bga-graph`, so
-/// the trace schema keeps its own copy of the shape).
-pub(crate) fn run_footprint(fp: GraphFootprint) -> RunFootprint {
-    RunFootprint {
-        representation: fp.representation.to_string(),
-        adjacency_bytes: fp.adjacency_bytes,
-        index_bytes: fp.index_bytes,
-        csr_bytes: fp.csr_bytes,
+/// What a run's `run-start` header says besides the executor's width and
+/// grain: kernel, variant, graph shape, and the root and bucket width
+/// where the kernel has them.
+pub(crate) struct RunLabel {
+    pub(crate) kernel: &'static str,
+    pub(crate) variant: &'static str,
+    pub(crate) vertices: usize,
+    pub(crate) edges: usize,
+    pub(crate) footprint: GraphFootprint,
+    pub(crate) root: Option<VertexId>,
+    pub(crate) delta: Option<u32>,
+}
+
+impl RunLabel {
+    /// A label for a run over an unweighted graph, without root or delta.
+    pub(crate) fn new<G: AdjacencySource>(
+        kernel: &'static str,
+        variant: &'static str,
+        graph: &G,
+    ) -> Self {
+        RunLabel {
+            kernel,
+            variant,
+            vertices: graph.num_vertices(),
+            edges: graph.num_edge_slots(),
+            footprint: graph.footprint(),
+            root: None,
+            delta: None,
+        }
+    }
+
+    /// The `run-start` event. `bga-obs` cannot depend on `bga-graph`, so
+    /// the footprint is copied into the trace schema's own shape.
+    pub(crate) fn header(self, threads: usize, grain: usize) -> TraceEvent {
+        let fp = self.footprint;
+        TraceEvent::RunStart {
+            kernel: self.kernel.to_string(),
+            variant: self.variant.to_string(),
+            vertices: self.vertices,
+            edges: self.edges,
+            threads,
+            grain,
+            delta: self.delta,
+            root: self.root,
+            footprint: Some(RunFootprint {
+                representation: fp.representation.to_string(),
+                adjacency_bytes: fp.adjacency_bytes,
+                index_bytes: fp.index_bytes,
+                csr_bytes: fp.csr_bytes,
+            }),
+        }
     }
 }
 
@@ -160,20 +203,17 @@ mod tests {
     #[test]
     fn run_scope_brackets_phases_with_header_and_totals() {
         let sink = MemorySink::new();
-        let scope = TraceRun::start(
-            &sink,
-            TraceEvent::RunStart {
-                kernel: "bfs".to_string(),
-                variant: "branch-avoiding".to_string(),
-                vertices: 4,
-                edges: 6,
-                threads: 2,
-                grain: 64,
-                delta: None,
-                root: Some(0),
-                footprint: None,
-            },
-        );
+        let scope = TraceRun::start(&sink, || TraceEvent::RunStart {
+            kernel: "bfs".to_string(),
+            variant: "branch-avoiding".to_string(),
+            vertices: 4,
+            edges: 6,
+            threads: 2,
+            grain: 64,
+            delta: None,
+            root: Some(0),
+            footprint: None,
+        });
         scope.emit(phase(1));
         assert_eq!(scope.phases_so_far(), 1);
         scope.emit(phase(2));
@@ -221,20 +261,17 @@ mod tests {
     fn interrupted_outcomes_mark_the_trailer() {
         use crate::cancel::InterruptReason;
         let sink = MemorySink::new();
-        let scope = TraceRun::start(
-            &sink,
-            TraceEvent::RunStart {
-                kernel: "cc".to_string(),
-                variant: "branch-avoiding".to_string(),
-                vertices: 4,
-                edges: 6,
-                threads: 2,
-                grain: 64,
-                delta: None,
-                root: None,
-                footprint: None,
-            },
-        );
+        let scope = TraceRun::start(&sink, || TraceEvent::RunStart {
+            kernel: "cc".to_string(),
+            variant: "branch-avoiding".to_string(),
+            vertices: 4,
+            edges: 6,
+            threads: 2,
+            grain: 64,
+            delta: None,
+            root: None,
+            footprint: None,
+        });
         scope.emit(phase(1));
         scope.finish_with_outcome(
             None,
@@ -288,15 +325,12 @@ mod tests {
 
     #[test]
     fn disabled_scope_emits_nothing() {
-        let scope = TraceRun::start(
-            &NoopSink,
-            TraceEvent::RunEnd {
-                phases: 0,
-                totals: PhaseCounters::default(),
-                wall_ns: 0,
-                interrupted: None,
-            },
-        );
+        let scope = TraceRun::start(&NoopSink, || TraceEvent::RunEnd {
+            phases: 0,
+            totals: PhaseCounters::default(),
+            wall_ns: 0,
+            interrupted: None,
+        });
         const _: () = assert!(!TraceRun::<'static, NoopSink>::ENABLED);
         assert!(scope.started.is_none());
         scope.finish_with_outcome(None, &RunOutcome::Completed);

@@ -35,10 +35,7 @@ use bga_kernels::bfs::{BfsResult, INFINITY};
 use bga_kernels::cc::ComponentLabels;
 use bga_kernels::kcore::CoreDecomposition;
 use bga_obs::{QueryKind, QueryPayload, QueryStatus, ServeRequest, ServeResponse, ServeStats};
-use bga_parallel::request::{
-    run_betweenness, run_betweenness_on, run_bfs, run_bfs_reusing, run_components,
-    run_components_on, run_kcore, run_kcore_on,
-};
+use bga_parallel::request::{run_betweenness, run_bfs_reusing, run_components, run_kcore};
 use bga_parallel::{
     resolve_threads, BfsStrategy, CancelToken, PoolConfig, PoolMonitor, RunConfig, RunOutcome,
     TraversalState, Variant, WorkerPool,
@@ -150,7 +147,7 @@ struct ServerState<G> {
     monitor: Arc<PoolMonitor>,
     /// One traversal-state allocation reused across every BFS query on
     /// the shared pool (guarded by the same serialization as the pool
-    /// lock — `compute_on` runs with the pool lock held).
+    /// lock — `compute` runs with the pool lock held).
     bfs_state: Mutex<TraversalState>,
     cache: Mutex<Lru>,
     stop: AtomicBool,
@@ -208,20 +205,22 @@ impl<G: AdjacencySource> ServerState<G> {
     }
 
     /// Computes (or recalls) the result behind `key`. On a miss the
-    /// traversal runs on the shared pool — or, when `deadline` is set,
-    /// under a cancellation token so an over-budget run stops at the
-    /// next phase boundary. Returns the result plus `(cached, complete)`.
+    /// traversal runs on the shared pool — under a cancellation token
+    /// when `deadline` is set, so an over-budget run stops at the next
+    /// phase boundary. Returns the result plus `(cached, complete)`.
     fn resolve(&self, key: CacheKey, deadline: Option<Duration>) -> (Cached, bool, bool) {
         if let Some(hit) = self.cache.lock().unwrap().get(key) {
             self.cache_hits.fetch_add(1, Relaxed);
             return (hit, true, true);
         }
         self.cache_misses.fetch_add(1, Relaxed);
+        let token = deadline.map(|budget| CancelToken::new().with_deadline_in(budget));
         let pool = self.pool.lock().unwrap();
-        let (value, outcome) = match deadline {
-            None => (self.compute_on(key, &pool), RunOutcome::Completed),
-            Some(budget) => self.compute_bounded(key, budget),
-        };
+        let mut config = RunConfig::new().on(&*pool).grain(self.grain);
+        if let Some(token) = &token {
+            config = config.cancel(token);
+        }
+        let (value, outcome) = self.compute(key, &config);
         drop(pool);
         let complete = outcome.is_completed();
         if complete {
@@ -233,62 +232,27 @@ impl<G: AdjacencySource> ServerState<G> {
     }
 
     /// Runs the traversal behind `key` on the shared worker pool.
-    fn compute_on(&self, key: CacheKey, pool: &WorkerPool) -> Cached {
+    fn compute(&self, key: CacheKey, config: &RunConfig<'_>) -> (Cached, RunOutcome) {
         let g = &*self.graph;
-        let grain = self.grain;
         match key {
             CacheKey::Bfs { root, variant } => {
                 // Reuse the server-lifetime traversal allocation instead
                 // of building fresh atomic arrays per query.
                 let mut state = self.bfs_state.lock().unwrap();
-                let run = run_bfs_reusing(
-                    g,
-                    root,
-                    BfsStrategy::Plain(variant),
-                    pool,
-                    grain,
-                    &mut state,
-                );
-                Cached::Bfs(Arc::new(run.result))
-            }
-            CacheKey::Components { variant } => {
-                let run = run_components_on(g, variant, pool, grain);
-                Cached::Components(Arc::new(run.labels))
-            }
-            CacheKey::Cores { variant } => {
-                let run = run_kcore_on(g, variant, pool, grain);
-                Cached::Cores(Arc::new(run.cores))
-            }
-            CacheKey::Bc { variant } => {
-                let run = run_betweenness_on(g, variant, None, pool, grain);
-                Cached::Bc(Arc::new(run.scores))
-            }
-        }
-    }
-
-    /// Runs the traversal behind `key` under a deadline token. The
-    /// cancellable request paths bring their own scoped threads, so this
-    /// runs while *holding* the pool lock (keeping compute serialized)
-    /// without using the resident pool itself.
-    fn compute_bounded(&self, key: CacheKey, budget: Duration) -> (Cached, RunOutcome) {
-        let g = &*self.graph;
-        let token = CancelToken::new().with_deadline_in(budget);
-        let config = RunConfig::new().threads(self.threads).cancel(&token);
-        match key {
-            CacheKey::Bfs { root, variant } => {
-                let (run, outcome) = run_bfs(g, root, BfsStrategy::Plain(variant), &config);
+                let strategy = BfsStrategy::Plain(variant);
+                let (run, outcome) = run_bfs_reusing(g, root, strategy, config, &mut state);
                 (Cached::Bfs(Arc::new(run.result)), outcome)
             }
             CacheKey::Components { variant } => {
-                let (run, outcome) = run_components(g, variant, &config);
+                let (run, outcome) = run_components(g, variant, config);
                 (Cached::Components(Arc::new(run.labels)), outcome)
             }
             CacheKey::Cores { variant } => {
-                let (run, outcome) = run_kcore(g, variant, &config);
+                let (run, outcome) = run_kcore(g, variant, config);
                 (Cached::Cores(Arc::new(run.cores)), outcome)
             }
             CacheKey::Bc { variant } => {
-                let (run, outcome) = run_betweenness(g, variant, None, &config);
+                let (run, outcome) = run_betweenness(g, variant, None, config);
                 (Cached::Bc(Arc::new(run.scores)), outcome)
             }
         }

@@ -96,8 +96,7 @@ pub mod prelude {
         PhaseKind, TraceEvent, TraceReport, TraceSink, TRACE_SCHEMA,
     };
     pub use bga_parallel::request::{
-        run, run_betweenness, run_bfs, run_components, run_kcore, run_sssp_unit, run_sssp_weighted,
-        KernelOutput, KernelRequest, RequestError,
+        run_betweenness, run_bfs, run_components, run_kcore, run_sssp_unit, run_sssp_weighted,
     };
     pub use bga_parallel::{
         BfsStrategy, BucketLoop, CancelToken, InterruptReason, LevelLoop, PoolConfig, PoolMetrics,

@@ -18,14 +18,15 @@ use branch_avoiding_graphs::graph::transform::relabel_random;
 use branch_avoiding_graphs::graph::weighted::uniform_weights;
 use branch_avoiding_graphs::graph::CsrGraph;
 use branch_avoiding_graphs::kernels::bc::betweenness_centrality_sources;
+use branch_avoiding_graphs::kernels::cc::sv_branch_avoiding;
 use branch_avoiding_graphs::kernels::kcore::kcore_peeling;
 use branch_avoiding_graphs::kernels::sssp::sssp_delta_stepping;
 use branch_avoiding_graphs::parallel::request::{
-    run_betweenness, run_bfs, run_components, run_components_on, run_components_resumed, run_kcore,
-    run_sssp_unit, run_sssp_weighted, run_sssp_weighted_resumed,
+    run_betweenness, run_bfs, run_components, run_components_resumed, run_kcore, run_sssp_unit,
+    run_sssp_weighted, run_sssp_weighted_resumed,
 };
 use branch_avoiding_graphs::parallel::{
-    BfsStrategy, CancelToken, InterruptReason, RunConfig, RunOutcome, Variant,
+    BfsStrategy, CancelToken, InterruptReason, RunConfig, RunOutcome, Variant, WorkerPool,
 };
 use std::time::{Duration, Instant};
 
@@ -75,6 +76,75 @@ fn pre_cancelled_tokens_stop_every_loop_before_the_first_phase() {
     interrupted_at_zero(run_sssp_unit(&graph, 0, avoiding, &config).1);
     interrupted_at_zero(run_sssp_weighted(&weighted, 0, 4, avoiding, &config).1);
     interrupted_at_zero(run_kcore(&graph, avoiding, &config).1);
+}
+
+/// The borrowed-executor seam honours tokens exactly like a per-call
+/// pool: every kernel on one lent pool stops at phase 0 under a
+/// pre-cancelled token, and the same pool's next, uncancelled run is
+/// still exact.
+#[test]
+fn borrowed_pool_runs_stop_at_phase_zero_and_the_pool_stays_exact() {
+    let graph = deep_graph();
+    let weighted = uniform_weights(&graph, 16, 11);
+    let sources: Vec<u32> = (0..8).collect();
+    let pool = WorkerPool::new(THREADS);
+    let token = CancelToken::new();
+    token.cancel();
+    let on_pool = RunConfig::new().on(&pool).grain(1);
+    let cancelled = on_pool.cancel(&token);
+    let avoiding = Variant::BranchAvoiding;
+    let plain = BfsStrategy::Plain(avoiding);
+    let outcomes = [
+        run_components(&graph, avoiding, &cancelled).1,
+        run_bfs(&graph, 0, plain, &cancelled).1,
+        run_betweenness(&graph, avoiding, Some(&sources), &cancelled).1,
+        run_kcore(&graph, avoiding, &cancelled).1,
+        run_sssp_unit(&graph, 0, avoiding, &cancelled).1,
+        run_sssp_weighted(&weighted, 0, 4, avoiding, &cancelled).1,
+    ];
+    for outcome in outcomes {
+        assert_eq!(
+            outcome,
+            RunOutcome::Interrupted {
+                reason: InterruptReason::Cancelled,
+                phases_done: 0,
+            }
+        );
+    }
+    let labels = run_components(&graph, avoiding, &on_pool).0.labels;
+    assert_eq!(labels.as_slice(), sv_branch_avoiding(&graph).as_slice());
+    let bfs = run_bfs(&graph, 0, plain, &on_pool).0.result;
+    assert_eq!(bfs.distances(), &bfs_distances_reference(&graph, 0)[..]);
+    let cores = run_kcore(&graph, avoiding, &on_pool).0.cores;
+    assert_eq!(cores.as_slice(), kcore_peeling(&graph).as_slice());
+    let unit = run_sssp_unit(&graph, 0, avoiding, &on_pool).0.result;
+    assert_eq!(unit.distances(), &bfs_distances_reference(&graph, 0)[..]);
+    let wsssp = run_sssp_weighted(&weighted, 0, 4, avoiding, &on_pool)
+        .0
+        .result;
+    assert_eq!(
+        wsssp.distances(),
+        sssp_delta_stepping(&weighted, 0, 4).distances()
+    );
+    // Betweenness scores are bit-identical across executors, and match the
+    // sequential push-style accumulation up to reassociation.
+    let scores = run_betweenness(&graph, avoiding, Some(&sources), &on_pool)
+        .0
+        .scores;
+    let own_pool = RunConfig::new().threads(THREADS);
+    let reference = run_betweenness(&graph, avoiding, Some(&sources), &own_pool)
+        .0
+        .scores;
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(&scores), bits(&reference));
+    let sequential = betweenness_centrality_sources(&graph, &sources);
+    for (v, (&got, &want)) in scores.iter().zip(&sequential).enumerate() {
+        let tolerance = 1e-9 * want.abs().max(1.0);
+        assert!(
+            (got - want).abs() <= tolerance,
+            "score differs at {v}: {got} vs {want}"
+        );
+    }
 }
 
 #[test]
@@ -275,7 +345,12 @@ fn wsssp_resumed_converges_bit_identical_to_an_uninterrupted_run() {
 #[cfg(debug_assertions)] // the fault seam compiles out of release builds
 mod injected_faults {
     use super::*;
-    use branch_avoiding_graphs::parallel::{FaultPlan, PoolError, WorkerPool};
+    use branch_avoiding_graphs::parallel::{FaultPlan, PoolError};
+
+    /// Runs on the faulty pool at grain 1, so every sweep is a batch.
+    fn on_pool(pool: &WorkerPool) -> RunConfig<'_> {
+        RunConfig::new().on(pool).grain(1)
+    }
 
     /// The acceptance bar end-to-end: 100 consecutive kernel runs, each
     /// hitting an injected panic in its first fanned-out batch, and the
@@ -289,12 +364,14 @@ mod injected_faults {
         let pool = WorkerPool::with_faults(4, FaultPlan::new().panic_in_batches(0..100));
         for attempt in 0..100 {
             let outcome = catch_unwind(AssertUnwindSafe(|| {
-                run_components_on(&graph, Variant::BranchBased, &pool, 1)
+                run_components(&graph, Variant::BranchBased, &on_pool(&pool))
             }));
             assert!(outcome.is_err(), "attempt {attempt} should have panicked");
         }
         // Batches 100+ are past the plan: the same pool still converges.
-        let labels = run_components_on(&graph, Variant::BranchBased, &pool, 1).labels;
+        let labels = run_components(&graph, Variant::BranchBased, &on_pool(&pool))
+            .0
+            .labels;
         assert_eq!(labels.canonical(), expected);
         assert_eq!(pool.lost_workers(), 0, "task panics are not worker deaths");
         assert_eq!(pool.shutdown(), Ok(()));
@@ -310,14 +387,18 @@ mod injected_faults {
         let pool = WorkerPool::with_faults(2, FaultPlan::new().kill_worker(0, 1));
         let mut spins = 0;
         while pool.lost_workers() < 1 {
-            let labels = run_components_on(&graph, Variant::BranchBased, &pool, 1).labels;
+            let labels = run_components(&graph, Variant::BranchBased, &on_pool(&pool))
+                .0
+                .labels;
             assert_eq!(labels.canonical(), expected, "degrading run went wrong");
             spins += 1;
             assert!(spins < 10_000, "the worker never picked up a batch");
             std::thread::yield_now();
         }
         assert_eq!(pool.live_workers(), 0);
-        let labels = run_components_on(&graph, Variant::BranchBased, &pool, 1).labels;
+        let labels = run_components(&graph, Variant::BranchBased, &on_pool(&pool))
+            .0
+            .labels;
         assert_eq!(labels.canonical(), expected, "inline fallback went wrong");
         assert_eq!(pool.shutdown(), Err(PoolError { lost_workers: 1 }));
     }

@@ -261,7 +261,14 @@ fn bucket_phase_shapes<E: Execute>(
 ) -> Vec<PhaseShape> {
     let sink = MemorySink::new();
     let state = TraversalState::new(wg.num_vertices());
-    BucketLoop::new(wg, exec, grain, 4).run_traced(&state, 0, &BranchAvoidingRelax::<false>, &sink);
+    BucketLoop::new(wg, exec, grain, 4).run(
+        &state,
+        0,
+        &BranchAvoidingRelax::<false>,
+        &sink,
+        None,
+        false,
+    );
     sink.take()
         .into_iter()
         .map(|event| match event {

@@ -1,12 +1,14 @@
-//! The no-op sink compiles the tracing seam out: a `BucketLoop::run`
-//! (which *is* `run_traced(&NoopSink)`) performs exactly the same heap
-//! allocations as an explicit no-op-sink traced run, while a collecting
-//! sink allocates strictly more. The check runs alone in this binary so a
-//! counting global allocator sees only its own traffic: the engine is
-//! driven on a single-thread pool with a grain large enough that every
-//! pass executes inline on the calling thread, making the allocation
-//! count exact and repeatable.
+//! The no-op sink compiles the tracing seam out: an engine `run` with a
+//! [`NoopSink`] and no token performs exactly the same heap allocations
+//! every time, while a collecting sink allocates strictly more; and at the
+//! request level a cancel token alone adds no allocation to a run on a
+//! borrowed pool (no pool monitor, trace scope or header is built for it).
+//! The check runs alone in this binary so a counting global allocator sees
+//! only its own traffic: the engine is driven on a single-thread pool with
+//! a grain large enough that every pass executes inline on the calling
+//! thread, making the allocation count exact and repeatable.
 
+use branch_avoiding_graphs::parallel::request::run_sssp_weighted;
 use branch_avoiding_graphs::parallel::BranchAvoidingRelax;
 use branch_avoiding_graphs::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -57,11 +59,25 @@ fn noop_sink_adds_no_allocations_to_an_engine_run() {
     let mut state = TraversalState::new(wg.num_vertices());
 
     // Warm up once so lazy one-time initialisation is off the books.
-    bucket_loop.run(&state, 0, &BranchAvoidingRelax::<false>);
+    bucket_loop.run(
+        &state,
+        0,
+        &BranchAvoidingRelax::<false>,
+        &NoopSink,
+        None,
+        false,
+    );
 
     let run = |state: &TraversalState| {
         allocations_during(|| {
-            bucket_loop.run(state, 0, &BranchAvoidingRelax::<false>);
+            bucket_loop.run(
+                state,
+                0,
+                &BranchAvoidingRelax::<false>,
+                &NoopSink,
+                None,
+                false,
+            );
         })
     };
     state.reset();
@@ -71,7 +87,14 @@ fn noop_sink_adds_no_allocations_to_an_engine_run() {
 
     state.reset();
     let noop_traced = allocations_during(|| {
-        bucket_loop.run_traced(&state, 0, &BranchAvoidingRelax::<false>, &NoopSink);
+        bucket_loop.run(
+            &state,
+            0,
+            &BranchAvoidingRelax::<false>,
+            &NoopSink,
+            None,
+            false,
+        );
     });
     assert_eq!(
         noop_traced, untraced,
@@ -83,11 +106,31 @@ fn noop_sink_adds_no_allocations_to_an_engine_run() {
     let sink = MemorySink::new();
     state.reset();
     let collected = allocations_during(|| {
-        bucket_loop.run_traced(&state, 0, &BranchAvoidingRelax::<false>, &sink);
+        bucket_loop.run(&state, 0, &BranchAvoidingRelax::<false>, &sink, None, false);
     });
     assert!(!sink.take().is_empty(), "the collecting sink saw no events");
     assert!(
         collected > noop_traced,
         "collecting sink ({collected} allocations) should exceed the no-op sink ({noop_traced})"
+    );
+
+    // A cancel-only request on a borrowed pool takes the same path as the
+    // untraced one: the token is checked at phase boundaries and nothing
+    // else is built for it.
+    let config = RunConfig::new().on(&pool).grain(1_000_000_000);
+    let token = CancelToken::new();
+    let request = |config: &RunConfig<'_>| {
+        allocations_during(|| {
+            let (run, outcome) = run_sssp_weighted(&wg, 0, 4, Variant::BranchAvoiding, config);
+            assert!(outcome.is_completed());
+            drop(run);
+        })
+    };
+    request(&config);
+    let untraced_request = request(&config);
+    let cancel_only = request(&config.cancel(&token));
+    assert_eq!(
+        cancel_only, untraced_request,
+        "a cancel token added allocations to a borrowed-pool request"
     );
 }
